@@ -8,9 +8,11 @@ identical config and seed reproduce bit-identical artifacts.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,14 @@ class RunConfig:
     span_tol: float = 1e-8
     prep: str = "zero"
     project_psd: bool = False
-    threads: int | None = None
     out: str = "out"
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                kind = getattr(f.type, "__name__", str(f.type))
+                raise ConfigError(f"{f.name} must be {kind} (got {value!r})")
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2 (got {self.dim})")
         if self.labs < 1:
@@ -56,6 +62,14 @@ class RunConfig:
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must lie in [0, 1] (got {self.p})")
         return self
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance against a field annotation; a bool is no int, an int is a float."""
+    allowed = typing.get_args(kind) or (kind,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -127,8 +141,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     w_full = process_sim.build_process(spec, tol=cfg.tol)
     w_int = process_sim.interior_only(w_full, _prep_state(cfg), tol=cfg.tol)
     family = _build_family(cfg)
-    records = process_sim.sample_shots(w_int, family, cfg.shots, seed=cfg.seed,
-                                       threads=cfg.threads)
+    records = process_sim.sample_shots(w_int, family, cfg.shots, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     serialize.save_family(family, os.path.join(cfg.out, "family.jsonl"))
     with open(os.path.join(cfg.out, "records.json"), "w") as fh:
@@ -215,21 +228,16 @@ def _verify_checks(cfg: RunConfig):
     for _ in range(6):
         pairs = [tuple(int(x) for x in rng.integers(0, 4, 2)) for _ in range(n_filter)]
         us = probe_factory.weyl_lab_unitaries(2, pairs)
-        grids = {}
-        import itertools as _it
-        for thetas in _it.product(probe_factory.THETA_GRID, repeat=n_filter - 1):
-            st = probe_factory.AncillaProbeSetting(probe_factory.KET0, tuple(us),
-                                                   thetas, outcome=0)
-            grids[thetas] = probe_factory.ancilla_superinstrument(st).choi
-        cur = grids
-        for axis in range(n_filter - 1):
-            nxt = {}
-            rests = sorted({k[1:] for k in cur})
-            for rest in rests:
-                nxt[rest] = probe_factory.phase_filter(
-                    {k[0]: v for k, v in cur.items() if k[1:] == rest})
-            cur = nxt
-        iso = cur[()]
+        axes = n_filter - 1
+        grid = {thetas: probe_factory.ancilla_superinstrument(
+                    probe_factory.AncillaProbeSetting(probe_factory.KET0, tuple(us),
+                                                      thetas, outcome=0)).choi
+                for thetas in itertools.product(probe_factory.THETA_GRID, repeat=axes)}
+        for left in reversed(range(axes)):
+            grid = {rest: probe_factory.phase_filter(
+                        {t: grid[(t,) + rest] for t in probe_factory.THETA_GRID})
+                    for rest in itertools.product(probe_factory.THETA_GRID, repeat=left)}
+        iso = grid[()]
         oracle = probe_factory.weyl_isolated_term(2, pairs)
         worst = max(worst, float(np.max(np.abs(iso.mat - oracle.mat))))
     checks.append(("phase_filter_isolation", worst <= 1e-9, {"max_delta": worst}))
@@ -309,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default=None)
         p.add_argument("--subsample", type=int, default=None)
         p.add_argument("--prep", default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--project-psd", action="store_const", const=True,
                        default=None, dest="project_psd")
     return parser

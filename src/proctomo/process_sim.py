@@ -9,9 +9,7 @@ interior-only matrix on the per-lab (I, O) factors that the probe families
 address.
 """
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,26 +49,6 @@ def derive_rng(seed: int, *purpose) -> np.random.Generator:
     for p in purpose:
         words.append(zlib.crc32(str(p).encode()) & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(words))
-
-
-def worker_count(requested: int | None = None) -> int:
-    if requested is not None and requested > 0:
-        return int(requested)
-    env = os.environ.get("PROCTOMO_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def _thread_map(fn, items, threads):
-    n = worker_count(threads)
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +259,25 @@ def born_probability(w: ProcessMatrix | LabeledOperator, probe,
     return max(p, 0.0)
 
 
-def born_probabilities(w, family: ProbeFamily, threads: int | None = None) -> list[float]:
-    return _thread_map(lambda e: born_probability(w, e), list(family), threads)
+def born_probabilities(w, family: ProbeFamily) -> list[float]:
+    """Every element's Born value from one product of the stacked canonical
+    Chois with vec(W); same checks and clamp as born_probability."""
+    if len(family) == 0:
+        return []
+    wop = canonicalize(w.op if isinstance(w, ProcessMatrix) else w)
+    chois = [canonicalize(e.choi) for e in family]
+    if wop.keys != chois[0].keys:
+        raise DimMismatch(f"process labels {wop.keys} do not match probe labels {chois[0].keys}")
+    vals = np.stack([c.mat.reshape(-1) for c in chois]) @ wop.mat.reshape(-1)
+    probs = []
+    for val in vals:
+        if abs(val.imag) > NEGATIVITY_TOL:
+            raise NegativeProbability(f"Born value has imaginary part {val.imag:.3e}")
+        if val.real < -NEGATIVITY_TOL:
+            raise NegativeProbability(
+                f"Born probability {val.real:.3e} below -{NEGATIVITY_TOL}")
+        probs.append(max(float(val.real), 0.0))
+    return probs
 
 
 @dataclass(frozen=True)
@@ -299,14 +294,14 @@ class ExperimentRecord:
         return self.count / self.shots_total
 
 
-def sample_shots(w, family: ProbeFamily, shots: int, seed: int = 0,
-                 threads: int | None = None) -> list[ExperimentRecord]:
+def sample_shots(w, family: ProbeFamily, shots: int,
+                 seed: int = 0) -> list[ExperimentRecord]:
     """Multinomial draws per setting with per-setting derived seeds.
 
     shots = 0 emits the exact probabilities instead. Records follow the family
     enumeration order; identical (family, shots, seed) give identical records.
     """
-    probs = born_probabilities(w, family, threads)
+    probs = born_probabilities(w, family)
     by_setting: dict[str, list[tuple[ProbeElement, float]]] = {}
     order: list[str] = []
     for e, p in zip(family, probs):

@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 
-from .choi_link import ChoiKind, ChoiOperator
 from .errors import ParseError
 from .probe_factory import ProbeElement, ProbeFamily, Provenance
 from .process_sim import ExperimentRecord, ProcessSpec
@@ -40,17 +39,6 @@ def operator_to_json(op: LabeledOperator) -> dict:
 
 def operator_from_json(data) -> LabeledOperator:
     return LabeledOperator(labels_from_json(data["labels"]), pairs_to_matrix(data["matrix"]))
-
-
-def choi_to_json(choi: ChoiOperator) -> dict:
-    data = operator_to_json(choi.op)
-    data["kind"] = choi.kind.value
-    return data
-
-
-def choi_from_json(data) -> ChoiOperator:
-    op = operator_from_json(data)
-    return ChoiOperator(op, ChoiKind(data["kind"]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +109,16 @@ def record_to_json(r: ExperimentRecord) -> dict:
 
 
 def record_from_json(d) -> ExperimentRecord:
-    return ExperimentRecord(str(d["setting_id"]), str(d["outcome"]),
-                            probability=d.get("probability"),
-                            count=d.get("count"),
-                            shots_total=int(d.get("shots_total", 0)))
+    """Shot records need an integer count, exact records a real probability."""
+    r = ExperimentRecord(str(d["setting_id"]), str(d["outcome"]),
+                         probability=d.get("probability"),
+                         count=d.get("count"),
+                         shots_total=int(d.get("shots_total", 0)))
+    name, kind = ("count", int) if r.shots_total else ("probability", (int, float))
+    value = getattr(r, name)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"record {r.setting_id}/{r.outcome}: {name} is {value!r}")
+    return r
 
 
 def records_to_json(records) -> str:
@@ -132,7 +126,16 @@ def records_to_json(records) -> str:
 
 
 def records_from_json(text: str):
-    return [record_from_json(d) for d in json.loads(text)]
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad records file: {exc}") from exc
+    if not isinstance(items, list):
+        raise ParseError("records file must hold a JSON list")
+    try:
+        return [record_from_json(d) for d in items]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad record: {exc!r}") from exc
 
 
 def records_to_csv(records) -> str:

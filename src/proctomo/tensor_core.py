@@ -101,37 +101,10 @@ class LabeledOperator:
         return f"LabeledOperator(labels={list(self.labels)}, side={self.side})"
 
 
-def scalar_operator(value) -> LabeledOperator:
-    """0-factor operator holding a single complex value."""
-    return LabeledOperator((), np.array([[value]], dtype=np.complex128))
-
-
 def identity_operator(labels) -> LabeledOperator:
     labels = tuple(labels)
     side = math.prod(l.dim for l in labels)
     return LabeledOperator(labels, np.eye(side, dtype=np.complex128))
-
-
-def op_trace(a: LabeledOperator) -> complex:
-    return complex(np.trace(a.mat))
-
-
-def adjoint(a: LabeledOperator) -> LabeledOperator:
-    return LabeledOperator(a.labels, a.mat.conj().T)
-
-
-def hermitian_part(a: LabeledOperator) -> LabeledOperator:
-    return LabeledOperator(a.labels, (a.mat + a.mat.conj().T) / 2)
-
-
-def frobenius_norm(a: LabeledOperator) -> float:
-    return float(np.linalg.norm(a.mat))
-
-
-def min_eigenvalue(a: LabeledOperator) -> float:
-    """Smallest eigenvalue of the Hermitian part."""
-    h = (a.mat + a.mat.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
 
 
 def canonical_order(labels) -> tuple[SpaceLabel, ...]:

@@ -21,11 +21,9 @@ from .tensor_core import LabeledOperator, canonicalize, permute_systems, sqrt_ps
 class FrameBundle:
     family: ProbeFamily
     tvecs: np.ndarray          # row a = vec(T_a)
-    frame: np.ndarray          # F = sum |T_a><T_a|
-    duals: np.ndarray          # row a = F^+ vec(T_a)
+    duals: np.ndarray          # row a = F^+ vec(T_a), F = sum |T_a><T_a|
     rank: int
     condition_number: float
-    tol: float
     labels: tuple
 
     @property
@@ -38,25 +36,26 @@ class FrameBundle:
 
 
 def build_frame(family: ProbeFamily, tol: float = 1e-10) -> FrameBundle:
-    """Accumulate the frame operator and pseudoinverse-based duals."""
+    """Duals from one eigendecomposition of the Hermitian PSD frame operator.
+
+    Eigenvalues above tol * lambda_max are kept; they give the rank, the
+    condition number (largest kept over smallest kept) and the pseudoinverse.
+    """
     if len(family) == 0:
         raise EmptyFamily("cannot build a frame from an empty family")
     chois = [canonicalize(e.choi) for e in family]
     labels = chois[0].labels
     tvecs = np.stack([vec_matrix(c.mat) for c in chois])
-    frame = tvecs.T @ tvecs.conj()
-    svals = np.linalg.svd(frame, compute_uv=False)
-    rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
-    retained = svals[svals > tol * svals[0]] if svals[0] > 0 else svals[:1]
-    cond = float(retained[0] / retained[-1]) if retained.size else float("inf")
-    u, s, vh = np.linalg.svd(frame)
-    inv = np.zeros_like(s)
-    keep = s > tol * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
-    inv[keep] = 1.0 / s[keep]
-    fpinv = (vh.conj().T * inv) @ u.conj().T
+    evals, evecs = np.linalg.eigh(tvecs.T @ tvecs.conj())
+    keep = evals > max(tol * evals[-1], 0.0)
+    rank = int(np.count_nonzero(keep))
+    kept = evals[keep]
+    cond = float(kept[-1] / kept[0]) if rank else float("inf")
+    basis = evecs[:, keep]
+    fpinv = (basis / kept) @ basis.conj().T
     duals = (fpinv @ tvecs.T).T
-    return FrameBundle(family=family, tvecs=tvecs, frame=frame, duals=duals,
-                       rank=rank, condition_number=cond, tol=tol, labels=labels)
+    return FrameBundle(family=family, tvecs=tvecs, duals=duals, rank=rank,
+                       condition_number=cond, labels=labels)
 
 
 def dual_identity_check(bundle: FrameBundle) -> float:

@@ -68,6 +68,32 @@ def test_reconstruct_requires_artifacts(tmp_path):
     assert run(["reconstruct", "--out", tmp_path / "empty"]) == 2
 
 
+def test_reconstruct_truncated_records_exits_2(tmp_path):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    text = (out / "records.json").read_text()
+    (out / "records.json").write_text(text[: len(text) // 2])
+    assert run(["reconstruct", "--out", out]) == 2
+
+
+def test_reconstruct_null_count_exits_2(tmp_path):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--shots", 100, "--out", out]) == 0
+    records = json.loads((out / "records.json").read_text())
+    records[0]["count"] = None
+    (out / "records.json").write_text(json.dumps(records))
+    assert run(["reconstruct", "--out", out]) == 2
+
+
+def test_config_wrong_type_exits_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dim": "2"}))
+    assert run(["reconstruct", "--config", path, "--out", tmp_path / "run"]) == 2
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path), {})
+    assert "dim" in str(err.value)
+
+
 def test_pipeline_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -221,8 +221,10 @@ def test_derive_rng_purpose_separation():
     assert a == c and a != b
 
 
-def test_threaded_born_matches_serial(qubit16):
-    wi = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=2)))
-    serial = born_probabilities(wi, qubit16, threads=1)
-    threaded = born_probabilities(wi, qubit16, threads=4)
-    assert serial == threaded
+def test_batched_born_matches_per_element(qubit16, weyl_n2):
+    for n_labs, family in ((1, qubit16), (2, weyl_n2)):
+        wi = interior_only(build_process(preset_process("HaarEnv", n_labs, 2, seed=2)))
+        batched = born_probabilities(wi, family)
+        single = [born_probability(wi, e) for e in family]
+        assert len(batched) == len(family)
+        assert np.max(np.abs(np.array(batched) - single)) <= 1e-12

@@ -7,6 +7,7 @@ from proctomo.probe_factory import (
     measure_prepare_family,
     qubit16_family,
     unitary_only_family,
+    weyl_ancilla_family,
 )
 from proctomo.process_sim import (
     ExperimentRecord,
@@ -15,7 +16,7 @@ from proctomo.process_sim import (
     preset_process,
     sample_shots,
 )
-from proctomo.tensor_core import LabeledOperator, permute_systems
+from proctomo.tensor_core import LabeledOperator, permute_systems, rank_and_pinv
 from proctomo.tomography import (
     build_frame,
     dual_identity_check,
@@ -49,6 +50,24 @@ def test_frame_weyl_ancilla_two_labs(weyl_n2):
     bundle = build_frame(weyl_n2)
     assert bundle.rank == 256
     assert dual_identity_check(bundle) < 1e-8
+
+
+def test_frame_matches_svd_pseudoinverse(qubit16, weyl_n2):
+    for n_labs, d, family in ((1, 2, qubit16), (1, 3, weyl_ancilla_family(1, 3)),
+                              (2, 2, weyl_n2)):
+        bundle = build_frame(family)
+        frame = bundle.tvecs.T @ bundle.tvecs.conj()
+        rank, fpinv = rank_and_pinv(frame)
+        assert bundle.rank == rank
+        duals = (fpinv @ bundle.tvecs.T).T
+        assert np.max(np.abs(bundle.duals - duals)) <= 1e-12
+        w = interior_only(build_process(preset_process("HaarEnv", n_labs, d, seed=4)))
+        records = sample_shots(w, family, 0)
+        x = np.array([r.probability for r in records]) @ duals
+        w_ref = x.reshape(w.mat.shape, order="F").T
+        w_ref = (w_ref + w_ref.conj().T) / 2
+        est = linear_inversion(bundle, records).w_est.mat
+        assert np.max(np.abs(est - w_ref)) <= 1e-12
 
 
 def test_frame_empty():
