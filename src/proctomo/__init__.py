@@ -14,9 +14,7 @@ from .choi_link import (
     choi_of_kraus,
     choi_of_unitary,
     link_product,
-    unvec,
     validate_comb,
-    vec,
 )
 from .op_basis import (
     Normalization,

@@ -49,23 +49,6 @@ def unvec_matrix(v: np.ndarray, shape=None) -> np.ndarray:
     return v.reshape(cols, rows).T
 
 
-@dataclass(frozen=True)
-class VectorizedOperator:
-    amplitudes: np.ndarray
-    source_labels: tuple[SpaceLabel, ...]
-
-
-def vec(a: LabeledOperator) -> VectorizedOperator:
-    return VectorizedOperator(vec_matrix(a.mat), a.labels)
-
-
-def unvec(v, labels) -> LabeledOperator:
-    labels = tuple(labels)
-    amps = v.amplitudes if isinstance(v, VectorizedOperator) else np.asarray(v)
-    side = math.prod(l.dim for l in labels)
-    return LabeledOperator(labels, unvec_matrix(amps, (side, side)))
-
-
 def bell_matrix(d: int) -> np.ndarray:
     """Unnormalised maximally entangled projector |1>><<1| on d (x) d."""
     v = np.eye(d, dtype=np.complex128).T.reshape(-1)

@@ -11,12 +11,12 @@ the end; phase gates on the ancilla sit between consecutive labs.
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import choi_link, op_basis
-from .choi_link import choi_of_kraus, choi_of_unitary, link_product
+from .choi_link import choi_of_kraus, choi_of_unitary
 from .errors import (
     BadCut,
     DimMismatch,
@@ -40,7 +40,6 @@ from .tensor_core import (
     LabeledOperator,
     Role,
     SpaceLabel,
-    canonicalize,
     permute_systems,
     sqrt_psd,
 )
@@ -72,6 +71,7 @@ class ProbeElement:
 class ProbeFamily:
     elements: tuple[ProbeElement, ...]
     provenance: Provenance = Provenance.CUSTOM
+    recipe: dict | None = None  # keyword arguments of GENERATORS[provenance]
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -131,18 +131,12 @@ def block_unitary(spec: BlockUnitarySpec, tol: float = DEFAULT_TOL) -> np.ndarra
     eye = np.eye(d, dtype=np.complex128)
     d_left = sqrt_psd(eye - k00 @ k00.conj().T, tol=max(tol, 1e-12))
     d_right = sqrt_psd(eye - k00.conj().T @ k00, tol=max(tol, 1e-12))
-    blocks = {
-        (0, 0): k00,
-        (0, 1): d_left @ v,
-        (1, 0): w @ d_right,
-        (1, 1): -w @ k00.conj().T @ v,
-    }
-    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for (m, n), blk in blocks.items():
-        unit = np.zeros((2, 2), dtype=np.complex128)
-        unit[m, n] = 1.0
-        u += np.kron(blk, unit)
-    return u
+    u = np.zeros((d, 2, d, 2), dtype=np.complex128)  # K_mn = u[:, m, :, n]
+    u[:, 0, :, 0] = k00
+    u[:, 0, :, 1] = d_left @ v
+    u[:, 1, :, 0] = w @ d_right
+    u[:, 1, :, 1] = -w @ k00.conj().T @ v
+    return u.reshape(2 * d, 2 * d)
 
 
 def ancilla_block(u: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -258,7 +252,7 @@ def unitary_only_family(lab: int = 1) -> ProbeFamily:
                           choi_of_unitary(u, labels[:1], labels[1:]).op,
                           meta={"kind": "unitary", "name": name})
              for name, u in QUBIT16_UNITARIES]
-    return ProbeFamily(tuple(elems), Provenance.UNITARY_ONLY)
+    return ProbeFamily(tuple(elems), Provenance.UNITARY_ONLY, {"lab": lab})
 
 
 def qubit16_family(lab: int = 1) -> ProbeFamily:
@@ -278,7 +272,7 @@ def qubit16_family(lab: int = 1) -> ProbeFamily:
             elems.append(ProbeElement(f"MP:{basis_name}", sign, choi,
                                       meta={"kind": "measure_prepare",
                                             "basis": basis_name, "outcome": sign}))
-    return ProbeFamily(tuple(elems), Provenance.QUBIT16)
+    return ProbeFamily(tuple(elems), Provenance.QUBIT16, {"lab": lab})
 
 
 def measure_prepare_family(d: int = 2, lab: int = 1) -> ProbeFamily:
@@ -299,7 +293,7 @@ def measure_prepare_family(d: int = 2, lab: int = 1) -> ProbeFamily:
             elems.append(ProbeElement(sid, "1",
                                       LabeledOperator(labels, np.kron((eye - proj).T, prep)),
                                       meta={"effect": i, "prep": j, "complement": True}))
-    return ProbeFamily(tuple(elems), Provenance.MEASURE_PREPARE)
+    return ProbeFamily(tuple(elems), Provenance.MEASURE_PREPARE, {"d": d, "lab": lab})
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +318,9 @@ class AncillaProbeSetting:
         if not us:
             raise InvalidSetting("at least one lab unitary required")
         side = us[0].shape[0]
-        for u in us:
-            if u.shape != (side, side) or np.max(np.abs(u.conj().T @ u - np.eye(side))) > 1e-9:
-                raise InvalidSetting("lab unitaries must be unitary and share one dimension")
+        if side % 2 or any(u.shape != (side, side) for u in us) or np.max(np.abs(
+                np.stack(us).conj().transpose(0, 2, 1) @ np.stack(us) - np.eye(side))) > 1e-9:
+            raise InvalidSetting("lab unitaries must be unitary on one system (x) qubit space")
         if len(self.thetas) != len(us) - 1:
             raise InvalidSetting(f"need {len(us) - 1} phases, got {len(self.thetas)}")
         if self.outcome not in (0, 1):
@@ -349,25 +343,22 @@ def phase_gate(theta: float) -> np.ndarray:
 
 
 def ancilla_superinstrument(setting: AncillaProbeSetting) -> ProbeElement:
-    """Chain the ancilla state, phase-modified joint unitaries, and the final
-    ancilla projector into one multi-lab probe Choi on (I1, O1, ..., IN, ON)."""
+    """Multi-lab probe Choi |tau><tau| on (I1, O1, ..., IN, ON). The ancilla
+    state, phase-modified joint unitaries and final projector are pure, so
+    their link product is the projector onto the contraction of their Choi
+    vectors over the ancilla wires: tau = <m| vec(U_N) ... vec(P U_1) |psi>."""
     n, d = setting.n_labs, setting.d_sys
-    anc = [SpaceLabel(t, Role.ANCILLA, 2) for t in range(n + 1)]
-    psi_op = LabeledOperator((anc[0],), np.outer(setting.psi, setting.psi.conj()))
-    acc = psi_op
-    for t in range(1, n + 1):
-        u = setting.lab_unitaries[t - 1]
+    tau = setting.psi.reshape(1, 2)  # axes: (I1, O1, ..., It, Ot), ancilla
+    for t, u in enumerate(setting.lab_unitaries, start=1):
+        v = u.T.reshape(d, 2, d, 2)  # vec(U) with axes It, ancilla in, Ot, ancilla out
         if t < n:
-            u = np.kron(np.eye(d), phase_gate(setting.thetas[t - 1])) @ u
-        li, lo = lab_labels(t, d)
-        ch = choi_of_unitary(u, [li, anc[t - 1]], [lo, anc[t]])
-        acc = link_product(acc, ch)
+            v = v * phase_gate(setting.thetas[t - 1]).diagonal()  # vec((I (x) P) U)
+        tau = np.einsum("xa,iaob->xiob", tau, v).reshape(-1, 2)
     m = setting.outcome
-    proj = np.zeros((2, 2), dtype=np.complex128)
-    proj[m, m] = 1.0
-    acc = link_product(acc, LabeledOperator((anc[n],), proj))
-    sid = f"anc(n={n},m={m})"
-    return ProbeElement(sid, str(m), canonicalize(acc),
+    tau = tau[:, m]
+    labels = tuple(l for t in range(1, n + 1) for l in lab_labels(t, d))
+    return ProbeElement(f"anc(n={n},m={m})", str(m),
+                        LabeledOperator(labels, np.outer(tau, tau.conj())),
                         meta={"thetas": list(setting.thetas), "outcome": m})
 
 
@@ -408,14 +399,14 @@ def weyl_block_spec(d: int, position: str, mu: int, nu: int) -> BlockUnitarySpec
     raise InvalidSetting(f"unknown lab position {position!r}")
 
 
+def _position(t: int, n: int) -> str:
+    return "first" if t == 1 else ("last" if t == n else "middle")
+
+
 def weyl_lab_unitaries(d: int, pairs) -> list[np.ndarray]:
     """Joint unitaries for one Weyl-index setting; pairs = [(mu, nu)] per lab."""
-    n = len(pairs)
-    out = []
-    for t, (mu, nu) in enumerate(pairs, start=1):
-        position = "first" if t == 1 else ("last" if t == n else "middle")
-        out.append(block_unitary(weyl_block_spec(d, position, mu, nu)))
-    return out
+    return [block_unitary(weyl_block_spec(d, _position(t, len(pairs)), mu, nu))
+            for t, (mu, nu) in enumerate(pairs, start=1)]
 
 
 def weyl_isolated_term(d: int, pairs) -> LabeledOperator:
@@ -463,17 +454,16 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     """
     if n_labs < 1 or d < 2:
         raise InvalidSetting("need n_labs >= 1 and d >= 2")
+    recipe = {"n_labs": n_labs, "d": d, "element_cap": element_cap,
+              "subsample_settings": subsample_settings, "seed": seed}
     if n_labs == 1:
         states = op_basis.tomography_state_vectors(d)
         elems = []
         for i, a in enumerate(states):
             for j, psi in enumerate(states):
-                sid = f"wa:s{i * len(states) + j}"
-                e0, e1 = measure_prepare_instrument(a, psi, setting_id=sid)
-                meta = {"effect": i, "prep": j}
-                elems.append(ProbeElement(e0.setting_id, e0.outcome, e0.choi, meta))
-                elems.append(ProbeElement(e1.setting_id, e1.outcome, e1.choi, meta))
-        return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA)
+                pair = measure_prepare_instrument(a, psi, setting_id=f"wa:s{i * len(states) + j}")
+                elems.extend(replace(e, meta={"effect": i, "prep": j}) for e in pair)
+        return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
 
     n_settings = (d * d) ** (2 * n_labs)
     theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
@@ -490,19 +480,27 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
                 f"(cap {element_cap}); pass subsample_settings")
         chosen = list(range(n_settings))
 
+    # A lab unitary depends only on its position and its (mu, nu) pair.
+    positions = {_position(t, n_labs) for t in range(1, n_labs + 1)}
+    lab_unitaries = {key: block_unitary(weyl_block_spec(d, *key)) for key in
+                     itertools.product(positions, range(d * d), range(d * d))}
     elems = []
     for s_idx in chosen:
         pairs = _decode_setting(s_idx, n_labs, d)
-        us = weyl_lab_unitaries(d, pairs)
+        us = tuple(lab_unitaries[(_position(t, n_labs), mu, nu)]
+                   for t, (mu, nu) in enumerate(pairs, start=1))
         for t_idx, thetas in enumerate(theta_combos):
             for m in (0, 1):
-                setting = AncillaProbeSetting(KET0, tuple(us), thetas, outcome=m)
-                probe = ancilla_superinstrument(setting)
-                sid = f"wa:s{s_idx}:th{t_idx}"
-                elems.append(ProbeElement(sid, str(m), probe.choi,
+                probe = ancilla_superinstrument(AncillaProbeSetting(KET0, us, thetas, outcome=m))
+                elems.append(ProbeElement(f"wa:s{s_idx}:th{t_idx}", str(m), probe.choi,
                                           meta={"pairs": [list(p) for p in pairs],
                                                 "thetas": list(thetas), "outcome": m}))
-    return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA)
+    return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
+
+
+GENERATORS = {Provenance.QUBIT16: qubit16_family, Provenance.UNITARY_ONLY: unitary_only_family,
+              Provenance.MEASURE_PREPARE: measure_prepare_family,
+              Provenance.WEYL_ANCILLA: weyl_ancilla_family}
 
 
 # ---------------------------------------------------------------------------

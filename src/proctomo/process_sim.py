@@ -9,6 +9,7 @@ interior-only matrix on the per-lab (I, O) factors that the probe families
 address.
 """
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 
@@ -183,28 +184,19 @@ def build_process(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> ProcessMatrix:
     d = spec.d_sys
     n = spec.n_labs
     if spec.channels is not None:
-        acc = None
-        for t, c in enumerate(spec.channels):
-            lbls = (_sys_out(t, d), _sys_in(t + 1, d))
-            step = LabeledOperator(lbls, c)
-            acc = step if acc is None else link_product(acc, step)
-        w = canonicalize(acc)
+        steps = [LabeledOperator((_sys_out(t, d), _sys_in(t + 1, d)), c)
+                 for t, c in enumerate(spec.channels)]
     elif spec.d_env == 1:
-        acc = None
-        for t, u in enumerate(spec.unitaries):
-            step = choi_of_unitary(u, [_sys_out(t, d)], [_sys_in(t + 1, d)]).op
-            acc = step if acc is None else link_product(acc, step)
-        w = canonicalize(acc)
+        steps = [choi_of_unitary(u, [_sys_out(t, d)], [_sys_in(t + 1, d)]).op
+                 for t, u in enumerate(spec.unitaries)]
     else:
-        de = spec.d_env
-        env = [SpaceLabel(t, Role.ENV, de) for t in range(n + 2)]
-        acc = LabeledOperator((env[0],), spec.env_state)
-        for t, u in enumerate(spec.unitaries):
-            step = choi_of_unitary(u, [_sys_out(t, d), env[t]],
-                                   [_sys_in(t + 1, d), env[t + 1]]).op
-            acc = link_product(acc, step)
-        acc = partial_trace(acc, [env[n + 1]])
-        w = canonicalize(acc)
+        env = [SpaceLabel(t, Role.ENV, spec.d_env) for t in range(n + 2)]
+        steps = [LabeledOperator((env[0],), spec.env_state)]
+        steps += [choi_of_unitary(u, [_sys_out(t, d), env[t]], [_sys_in(t + 1, d), env[t + 1]]).op
+                  for t, u in enumerate(spec.unitaries)]
+        # No later step shares the last environment wire: trace it before linking.
+        steps[-1] = partial_trace(steps[-1], [env[n + 1]])
+    w = canonicalize(functools.reduce(link_product, steps))
     report = validate_comb(w, direction=CombDirection.PROCESS, tol=tol)
     if not report.passed:
         raise InvalidSpec(
@@ -242,6 +234,14 @@ def interior_only(w: ProcessMatrix, prep: np.ndarray | None = None,
 # Born rule and sampling
 # ---------------------------------------------------------------------------
 
+def _checked_probability(val: complex, tol: float) -> float:
+    if abs(val.imag) > tol:
+        raise NegativeProbability(f"Born value has imaginary part {val.imag:.3e}")
+    if val.real < -tol:
+        raise NegativeProbability(f"Born probability {val.real:.3e} below -{tol}")
+    return max(float(val.real), 0.0)
+
+
 def born_probability(w: ProcessMatrix | LabeledOperator, probe,
                      tol: float = NEGATIVITY_TOL) -> float:
     """p = Tr[W^T T] after permuting both operands to canonical label order."""
@@ -250,13 +250,7 @@ def born_probability(w: ProcessMatrix | LabeledOperator, probe,
     wop, top = canonicalize(wop), canonicalize(top)
     if wop.keys != top.keys:
         raise DimMismatch(f"process labels {wop.keys} do not match probe labels {top.keys}")
-    val = complex(np.sum(wop.mat * top.mat))
-    if abs(val.imag) > tol:
-        raise NegativeProbability(f"Born value has imaginary part {val.imag:.3e}")
-    p = val.real
-    if p < -tol:
-        raise NegativeProbability(f"Born probability {p:.3e} below -{tol}")
-    return max(p, 0.0)
+    return _checked_probability(complex(np.sum(wop.mat * top.mat)), tol)
 
 
 def born_probabilities(w, family: ProbeFamily) -> list[float]:
@@ -269,15 +263,7 @@ def born_probabilities(w, family: ProbeFamily) -> list[float]:
     if wop.keys != chois[0].keys:
         raise DimMismatch(f"process labels {wop.keys} do not match probe labels {chois[0].keys}")
     vals = np.stack([c.mat.reshape(-1) for c in chois]) @ wop.mat.reshape(-1)
-    probs = []
-    for val in vals:
-        if abs(val.imag) > NEGATIVITY_TOL:
-            raise NegativeProbability(f"Born value has imaginary part {val.imag:.3e}")
-        if val.real < -NEGATIVITY_TOL:
-            raise NegativeProbability(
-                f"Born probability {val.real:.3e} below -{NEGATIVITY_TOL}")
-        probs.append(max(float(val.real), 0.0))
-    return probs
+    return [_checked_probability(val, NEGATIVITY_TOL) for val in vals]
 
 
 @dataclass(frozen=True)

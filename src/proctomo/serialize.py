@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from .errors import ParseError
-from .probe_factory import ProbeElement, ProbeFamily, Provenance
+from .errors import ParseError, ProctomoError
+from .probe_factory import GENERATORS, ProbeElement, ProbeFamily, Provenance
 from .process_sim import ExperimentRecord, ProcessSpec
 from .tensor_core import LabeledOperator, Role, SpaceLabel
 
@@ -45,12 +45,13 @@ def operator_from_json(data) -> LabeledOperator:
 # Probe families (JSON lines)
 # ---------------------------------------------------------------------------
 
+def element_id_json(e: ProbeElement) -> dict:
+    meta = {"meta": e.meta} if e.meta else {}
+    return {"setting": e.setting_id, "outcome": e.outcome, **meta}
+
+
 def element_to_json(e: ProbeElement) -> dict:
-    out = {"setting": e.setting_id, "outcome": e.outcome}
-    if e.meta:
-        out["meta"] = e.meta
-    out.update(operator_to_json(e.choi))
-    return out
+    return {**element_id_json(e), **operator_to_json(e.choi)}
 
 
 def element_from_json(data) -> ProbeElement:
@@ -59,13 +60,17 @@ def element_from_json(data) -> ProbeElement:
 
 
 def family_to_jsonl(family: ProbeFamily) -> str:
-    lines = [json.dumps({"type": "probe_family", "provenance": family.provenance.value,
-                         "count": len(family)})]
-    lines.extend(json.dumps(element_to_json(e)) for e in family)
-    return "\n".join(lines) + "\n"
+    """Header line with the generator's recipe, then one line per element; a
+    family without a recipe (hand-built) also writes each Choi matrix."""
+    header = {"type": "probe_family", "provenance": family.provenance.value,
+              "count": len(family), "recipe": family.recipe}
+    line = element_to_json if family.recipe is None else element_id_json
+    return "\n".join([json.dumps(header)] + [json.dumps(line(e)) for e in family]) + "\n"
 
 
 def family_from_jsonl(text: str) -> ProbeFamily:
+    """Inverse of family_to_jsonl. A family with a recipe is rebuilt by its
+    generator, and each line must match the rebuilt element."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty probe family file", line=1)
@@ -74,18 +79,36 @@ def family_from_jsonl(text: str) -> ProbeFamily:
         provenance = Provenance(header.get("provenance", "Custom"))
     except (json.JSONDecodeError, ValueError) as exc:
         raise ParseError(f"bad family header: {exc}", line=1) from exc
-    elements = []
+    recipe = header.get("recipe")
+    items = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            elements.append(element_from_json(json.loads(line)))
+            data = json.loads(line)
+            items.append((i, data if recipe is not None else element_from_json(data)))
         except Exception as exc:
             raise ParseError(f"bad probe element: {exc}", line=i) from exc
-    if "count" in header and header["count"] != len(elements):
-        raise ParseError(f"expected {header['count']} elements, found {len(elements)}",
+    if "count" in header and header["count"] != len(items):
+        raise ParseError(f"expected {header['count']} elements, found {len(items)}",
                          line=len(lines))
-    return ProbeFamily(tuple(elements), provenance)
+    if recipe is None:
+        return ProbeFamily(tuple(e for _, e in items), provenance)
+    generator = GENERATORS.get(provenance)
+    if generator is None or not isinstance(recipe, dict) or not all(
+            v is None or type(v) is int for v in recipe.values()):
+        raise ParseError(f"bad recipe {recipe!r} for provenance {provenance.value}", line=1)
+    try:
+        family = generator(**recipe)
+    except (TypeError, ValueError, ProctomoError) as exc:
+        raise ParseError(f"bad recipe {recipe!r}: {exc}", line=1) from exc
+    if len(family) != len(items):
+        raise ParseError(f"recipe gives {len(family)} elements", line=len(lines))
+    for (i, data), e in zip(items, family):
+        if data != element_id_json(e):
+            raise ParseError(f"element {data!r} is not {element_id_json(e)!r}, "
+                             f"which the recipe gives", line=i)
+    return family
 
 
 def save_family(family: ProbeFamily, path) -> None:
@@ -118,6 +141,9 @@ def record_from_json(d) -> ExperimentRecord:
     value = getattr(r, name)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParseError(f"record {r.setting_id}/{r.outcome}: {name} is {value!r}")
+    if r.shots_total and not 0 <= r.count <= r.shots_total:
+        raise ParseError(f"record {r.setting_id}/{r.outcome}: count {r.count} "
+                         f"outside 0..{r.shots_total}")
     return r
 
 

@@ -6,6 +6,7 @@ plain frame F = sum |T_a><T_a| and the single transpose is applied when the
 reconstructed vector is reshaped back to a matrix, never inside the frame.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .tensor_core import LabeledOperator, canonicalize, permute_systems, sqrt_ps
 class FrameBundle:
     family: ProbeFamily
     tvecs: np.ndarray          # row a = vec(T_a)
-    duals: np.ndarray          # row a = F^+ vec(T_a), F = sum |T_a><T_a|
+    fpinv: np.ndarray          # F^+, F = sum |T_a><T_a|
     rank: int
     condition_number: float
     labels: tuple
@@ -29,6 +30,11 @@ class FrameBundle:
     @property
     def dim(self) -> int:
         return self.tvecs.shape[1]
+
+    @functools.cached_property
+    def duals(self) -> np.ndarray:
+        """Row a = F^+ vec(T_a); built on first use."""
+        return (self.fpinv @ self.tvecs.T).T
 
     @property
     def is_complete(self) -> bool:
@@ -53,8 +59,7 @@ def build_frame(family: ProbeFamily, tol: float = 1e-10) -> FrameBundle:
     cond = float(kept[-1] / kept[0]) if rank else float("inf")
     basis = evecs[:, keep]
     fpinv = (basis / kept) @ basis.conj().T
-    duals = (fpinv @ tvecs.T).T
-    return FrameBundle(family=family, tvecs=tvecs, duals=duals, rank=rank,
+    return FrameBundle(family=family, tvecs=tvecs, fpinv=fpinv, rank=rank,
                        condition_number=cond, labels=labels)
 
 
@@ -106,14 +111,14 @@ class ReconstructionReport:
 
 def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False,
                      tol: float = 1e-10) -> ReconstructionReport:
-    """Dual-frame estimate W_est = unvec(sum_a p_a D_a)^T, Hermitized.
+    """Dual-frame estimate W_est = unvec(sum_a p_a D_a)^T = unvec(F^+ T^T p)^T, Hermitized.
 
     PSD and comb violations are reported, not repaired; project_psd=True
     additionally clamps negative eigenvalues and rescales the trace, clearly a
     post-processing step outside plain linear inversion.
     """
     freqs = _frequencies(bundle, data)
-    x = freqs @ bundle.duals              # vec of W^T estimate
+    x = bundle.fpinv @ (bundle.tvecs.T @ freqs)  # vec of W^T estimate
     w_raw = unvec_matrix(x).T
     w_mat = (w_raw + w_raw.conj().T) / 2
     projected = False
@@ -158,7 +163,7 @@ def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data,
         except Exception as exc:
             raise DimMismatch(f"observable labels {o.keys} vs frame {bundle.labels}") from exc
     ovec = vec_matrix(o.mat)
-    coeffs = bundle.duals.conj() @ ovec
+    coeffs = (bundle.duals @ ovec.conj()).conj()  # conj(D) o without copying D
     recon = bundle.tvecs.T @ coeffs
     scale = max(float(np.linalg.norm(ovec)), 1.0)
     residual = float(np.linalg.norm(recon - ovec)) / scale

@@ -85,6 +85,27 @@ def test_reconstruct_null_count_exits_2(tmp_path):
     assert run(["reconstruct", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("count", [999, -1])
+def test_reconstruct_count_outside_shots_exits_2(tmp_path, count):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--shots", 50, "--out", out]) == 0
+    records = json.loads((out / "records.json").read_text())
+    records[0]["count"] = count
+    (out / "records.json").write_text(json.dumps(records))
+    assert run(["reconstruct", "--out", out]) == 2
+
+
+def test_reconstruct_tampered_family_exits_2(tmp_path):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 2, "--dim", 2, "--subsample", 3, "--out", out]) == 0
+    lines = (out / "family.jsonl").read_text().splitlines()
+    element = json.loads(lines[3])
+    element["meta"]["thetas"][0] = 0.5
+    lines[3] = json.dumps(element)
+    (out / "family.jsonl").write_text("\n".join(lines) + "\n")
+    assert run(["reconstruct", "--out", out]) == 2
+
+
 def test_config_wrong_type_exits_2(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dim": "2"}))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from proctomo.choi_link import CombDirection, validate_comb, vec_matrix
+from proctomo.choi_link import (
+    CombDirection,
+    choi_of_unitary,
+    link_product,
+    validate_comb,
+    vec_matrix,
+)
 from proctomo.errors import (
     BadCut,
     InvalidSetting,
@@ -29,8 +35,10 @@ from proctomo.probe_factory import (
     block_unitary,
     extract_blocks,
     measure_prepare_family,
+    lab_labels,
     operator_schmidt_rank,
     phase_filter,
+    phase_gate,
     measure_prepare_instrument,
     weyl_block_spec,
     weyl_ancilla_family,
@@ -38,7 +46,7 @@ from proctomo.probe_factory import (
     weyl_lab_unitaries,
     unitary_only_family,
 )
-from proctomo.tensor_core import LabeledOperator, Role, SpaceLabel, tensor
+from proctomo.tensor_core import LabeledOperator, Role, SpaceLabel, canonicalize, tensor
 
 from conftest import random_hermitian
 
@@ -216,6 +224,35 @@ def test_superinstrument_matches_double_sum(rng):
             st = AncillaProbeSetting(KET0, (u1, u2), (theta,), outcome=m)
             probe = ancilla_superinstrument(st)
             assert np.max(np.abs(probe.choi.mat - doublesum_oracle(u1, u2, theta, m))) < 1e-10
+
+
+def link_chain_oracle(setting):
+    """The probe as N + 2 link products over labelled ancilla wires."""
+    n, d = setting.n_labs, setting.d_sys
+    anc = [SpaceLabel(t, Role.ANCILLA, 2) for t in range(n + 1)]
+    acc = LabeledOperator((anc[0],), np.outer(setting.psi, setting.psi.conj()))
+    for t, u in enumerate(setting.lab_unitaries, start=1):
+        if t < n:
+            u = np.kron(np.eye(d), phase_gate(setting.thetas[t - 1])) @ u
+        li, lo = lab_labels(t, d)
+        acc = link_product(acc, choi_of_unitary(u, [li, anc[t - 1]], [lo, anc[t]]))
+    proj = np.zeros((2, 2), dtype=np.complex128)
+    proj[setting.outcome, setting.outcome] = 1.0
+    return canonicalize(link_product(acc, LabeledOperator((anc[n],), proj)))
+
+
+@pytest.mark.parametrize("n_labs", [1, 2, 3])
+def test_superinstrument_matches_link_chain(rng, n_labs):
+    for d in (2, 3):
+        for _ in range(3):
+            psi = haar_state(2, rng)
+            us = tuple(haar_unitary(2 * d, rng) for _ in range(n_labs))
+            thetas = tuple(rng.uniform(-np.pi, np.pi, n_labs - 1))
+            for m in (0, 1):
+                st = AncillaProbeSetting(psi, us, thetas, outcome=m)
+                probe, oracle = ancilla_superinstrument(st).choi, link_chain_oracle(st)
+                assert probe.labels == oracle.labels
+                assert np.max(np.abs(probe.mat - oracle.mat)) <= 1e-12
 
 
 def test_superinstrument_psd_and_tester(rng):

@@ -30,7 +30,14 @@ from proctomo.process_sim import (
     preset_process,
     sample_shots,
 )
-from proctomo.tensor_core import LabeledOperator, Role, SpaceLabel, partial_trace, tensor
+from proctomo.tensor_core import (
+    LabeledOperator,
+    Role,
+    SpaceLabel,
+    canonicalize,
+    partial_trace,
+    tensor,
+)
 
 from conftest import random_density
 
@@ -100,6 +107,22 @@ def test_env_identity_splice_invariance(rng):
     acc = partial_trace(acc, [(10, Role.ENV)])
     from proctomo.tensor_core import canonicalize
     assert np.max(np.abs(canonicalize(acc).mat - w.mat)) < 1e-10
+
+
+@pytest.mark.parametrize("n_labs, d", [(1, 6), (2, 2), (3, 2)])
+def test_build_process_matches_link_then_trace(n_labs, d):
+    # reference: link every step, then trace the final environment wire
+    spec = preset_process("HaarEnv", n_labs, d, seed=3)
+    env = [SpaceLabel(t, Role.ENV, spec.d_env) for t in range(n_labs + 2)]
+    acc = LabeledOperator((env[0],), spec.env_state)
+    for t, u in enumerate(spec.unitaries):
+        acc = link_product(acc, choi_of_unitary(
+            u, [SpaceLabel(t, Role.OUTPUT, d), env[t]],
+            [SpaceLabel(t + 1, Role.INPUT, d), env[t + 1]]).op)
+    ref = canonicalize(partial_trace(acc, [env[-1]]))
+    w = build_process(spec)
+    assert w.op.labels == ref.labels
+    assert np.max(np.abs(w.mat - ref.mat)) <= 1e-12
 
 
 def test_interior_identity_wire_gives_prep_state(rng):

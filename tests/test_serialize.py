@@ -2,10 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proctomo import serialize
 from proctomo.errors import ParseError
-from proctomo.probe_factory import weyl_ancilla_family
+from proctomo.probe_factory import (
+    ProbeFamily,
+    measure_prepare_family,
+    qubit16_family,
+    unitary_only_family,
+    weyl_ancilla_family,
+)
 from proctomo.process_sim import (
     build_process,
     interior_only,
@@ -55,6 +62,96 @@ def test_family_truncated_file_reports_line(tmp_path, qubit16):
     with pytest.raises(ParseError) as err:
         serialize.family_from_jsonl(broken)
     assert err.value.line == 6
+
+
+GENERATOR_ARGS = {
+    "qubit16": (qubit16_family, st.fixed_dictionaries({"lab": st.integers(1, 3)})),
+    "unitary_only": (unitary_only_family, st.fixed_dictionaries({"lab": st.integers(1, 3)})),
+    "measure_prepare": (measure_prepare_family, st.fixed_dictionaries(
+        {"d": st.integers(2, 3), "lab": st.integers(1, 2)})),
+    "weyl_n1": (weyl_ancilla_family, st.fixed_dictionaries(
+        {"n_labs": st.just(1), "d": st.integers(2, 3)})),
+    "weyl_n2": (weyl_ancilla_family, st.fixed_dictionaries(
+        {"n_labs": st.just(2), "d": st.just(2)},
+        optional={"subsample_settings": st.integers(1, 40), "seed": st.integers(0, 2**32 - 1)})),
+    "weyl_n3": (weyl_ancilla_family, st.fixed_dictionaries(
+        {"n_labs": st.just(3), "d": st.just(2), "subsample_settings": st.integers(1, 3),
+         "seed": st.integers(0, 2**32 - 1)})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATOR_ARGS))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_generated_family_roundtrips_as_recipe(tmp_path_factory, kind, data):
+    generator, args = GENERATOR_ARGS[kind]
+    family = generator(**data.draw(args))
+    path = tmp_path_factory.mktemp("family") / "family.jsonl"
+    serialize.save_family(family, path)
+    assert '"matrix"' not in path.read_text()
+    back = serialize.load_family(path)
+    assert (back.provenance, back.recipe) == (family.provenance, family.recipe)
+    assert len(back) == len(family)
+    for a, b in zip(family, back):
+        assert (a.setting_id, a.outcome, a.meta) == (b.setting_id, b.outcome, b.meta)
+        assert a.choi.labels == b.choi.labels
+        assert np.array_equal(a.choi.mat, b.choi.mat)
+
+
+def test_hand_built_family_roundtrips_dense(tmp_path, qubit16):
+    family = ProbeFamily(qubit16.elements[3:9], qubit16.provenance)
+    path = tmp_path / "family.jsonl"
+    serialize.save_family(family, path)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["recipe"] is None
+    assert all("matrix" in json.loads(line) for line in lines[1:])
+    back = serialize.load_family(path)
+    assert back.recipe is None and len(back) == len(family)
+    for a, b in zip(family, back):
+        assert (a.setting_id, a.outcome, a.meta) == (b.setting_id, b.outcome, b.meta)
+        assert a.choi.labels == b.choi.labels
+        assert np.array_equal(a.choi.mat, b.choi.mat)
+
+
+def _tampered(edit):
+    """family.jsonl lines of a small N=2 family after edit(lines); the header
+    is line 1 and element k is on line k + 2."""
+    family = weyl_ancilla_family(2, 2, subsample_settings=3, seed=1)
+    lines = serialize.family_to_jsonl(family).splitlines()
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _edit_line(index, change):
+    def edit(lines):
+        data = json.loads(lines[index])
+        change(data)
+        lines[index] = json.dumps(data)
+    return edit
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_edit_line(4, lambda e: e.update(setting="wa:s0:th0")), 5),
+    (_edit_line(6, lambda e: e.update(outcome="1" if e["outcome"] == "0" else "0")), 7),
+    (_edit_line(9, lambda e: e["meta"]["thetas"].__setitem__(0, 0.25)), 10),
+    (_edit_line(11, lambda e: e["meta"]["pairs"].__setitem__(0, [3, 3])), 12),
+    (_edit_line(13, lambda e: e.pop("meta")), 14),
+    (lambda lines: lines.pop(8), 24),
+    (lambda lines: lines.append(lines[-1]), 26),
+    (_edit_line(0, lambda h: h["recipe"].update(bogus=1)), 1),
+    (_edit_line(0, lambda h: h["recipe"].update(d="2")), 1),
+    (_edit_line(0, lambda h: h["recipe"].update(n_labs=0)), 1),
+    (_edit_line(0, lambda h: h["recipe"].update(subsample_settings=10**6)), 1),
+    (_edit_line(0, lambda h: h.update(recipe=[2, 2])), 1),
+    (_edit_line(0, lambda h: h.update(provenance="Custom")), 1),
+    (_edit_line(0, lambda h: h.update(provenance="Qubit16")), 1),
+    (_edit_line(0, lambda h: h["recipe"].update(seed=2)), 2),
+    (_edit_line(0, lambda h: h["recipe"].update(subsample_settings=4)), 25),
+])
+def test_tampered_recipe_family_reports_line(edit, line):
+    with pytest.raises(ParseError) as err:
+        serialize.family_from_jsonl(_tampered(edit))
+    assert err.value.line == line
 
 
 def test_records_roundtrip(qubit16):

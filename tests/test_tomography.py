@@ -63,11 +63,12 @@ def test_frame_matches_svd_pseudoinverse(qubit16, weyl_n2):
         assert np.max(np.abs(bundle.duals - duals)) <= 1e-12
         w = interior_only(build_process(preset_process("HaarEnv", n_labs, d, seed=4)))
         records = sample_shots(w, family, 0)
-        x = np.array([r.probability for r in records]) @ duals
-        w_ref = x.reshape(w.mat.shape, order="F").T
-        w_ref = (w_ref + w_ref.conj().T) / 2
         est = linear_inversion(bundle, records).w_est.mat
-        assert np.max(np.abs(est - w_ref)) <= 1e-12
+        f = np.array([r.probability for r in records])
+        for dual_rows in (duals, bundle.duals):
+            w_ref = (f @ dual_rows).reshape(w.mat.shape, order="F").T
+            w_ref = (w_ref + w_ref.conj().T) / 2
+            assert np.max(np.abs(est - w_ref)) <= 1e-12
 
 
 def test_frame_empty():
