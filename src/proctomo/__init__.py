@@ -10,7 +10,6 @@ from .choi_link import (
     ChoiKind,
     ChoiOperator,
     CombDirection,
-    apply_channel,
     choi_of_kraus,
     choi_of_unitary,
     link_product,
@@ -35,7 +34,6 @@ from .probe_factory import (
     Provenance,
     ancilla_superinstrument,
     block_unitary,
-    extract_blocks,
     operator_schmidt_rank,
     phase_filter,
     qubit16_family,

@@ -139,13 +139,6 @@ def choi_of_kraus(ks, in_labels=None, out_labels=None, tol: float = DEFAULT_TOL)
                         tuple(l.key for l in in_labels), tuple(l.key for l in out_labels))
 
 
-def apply_channel(choi: ChoiOperator, rho: LabeledOperator) -> LabeledOperator:
-    """Act with a channel on a state: Tr_in[(rho^T (x) I) choi]."""
-    if tuple(sorted(rho.keys)) != tuple(sorted(choi.in_keys)):
-        raise DimMismatch(f"state labels {rho.keys} do not match channel inputs {choi.in_keys}")
-    return link_product(rho, choi.op)
-
-
 def link_product(a, b) -> LabeledOperator:
     """Link product A * B: contraction over the common (lab, role) factors.
 

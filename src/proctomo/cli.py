@@ -118,7 +118,7 @@ def _build_family(cfg: RunConfig) -> probe_factory.ProbeFamily:
     if choice == "measure_prepare":
         if cfg.labs != 1:
             raise ConfigError("family measure_prepare requires labs=1")
-        return probe_factory.measure_prepare_family(cfg.dim)
+        return probe_factory.measure_prepare_family(cfg.dim, element_cap=cfg.family_cap)
     return probe_factory.weyl_ancilla_family(cfg.labs, cfg.dim,
                                          element_cap=cfg.family_cap,
                                          subsample_settings=cfg.subsample,

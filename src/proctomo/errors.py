@@ -55,6 +55,10 @@ class EmptyFamily(ProctomoError):
     """An operator family with no elements was supplied."""
 
 
+class DesignSizeMismatch(ProctomoError):
+    """A unitary design has the wrong number of elements."""
+
+
 # ---- process simulation ----
 
 class InvalidSpec(ProctomoError):

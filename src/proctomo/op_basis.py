@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import choi_link
-from .errors import DimMismatch, EmptyFamily, IndexOutOfRange
+from .errors import DesignSizeMismatch, DimMismatch, EmptyFamily, IndexOutOfRange
 from .tensor_core import LabeledOperator, Role, SpaceLabel
 
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -114,7 +114,8 @@ def clifford_design_qubit() -> UnitaryDesign:
                     nxt.append(v)
         frontier = nxt
     elements = tuple(seen.values())
-    assert len(elements) == 24
+    if len(elements) != 24:
+        raise DesignSizeMismatch(f"Clifford closure gave {len(elements)} elements, not 24")
     return UnitaryDesign(elements=elements, order=2)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import choi_link, op_basis
-from .choi_link import choi_of_kraus, choi_of_unitary
 from .errors import (
     BadCut,
     DimMismatch,
@@ -61,6 +60,7 @@ class ProbeElement:
     outcome: str
     choi: LabeledOperator
     meta: dict = field(default_factory=dict)
+    circuit: "AncillaProbeSetting | None" = None  # the circuit the Choi was built from
 
     @property
     def record_key(self) -> tuple[str, str]:
@@ -148,11 +148,6 @@ def ancilla_block(u: np.ndarray, m: int, n: int) -> np.ndarray:
     return u.reshape(d, 2, d, 2)[:, m, :, n]
 
 
-def extract_blocks(u: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """All four ancilla blocks of a joint unitary, keyed by branch (m, n)."""
-    return {(m, n): ancilla_block(u, m, n) for m in (0, 1) for n in (0, 1)}
-
-
 # ---------------------------------------------------------------------------
 # Single-lab measure-and-prepare circuits and fixed qubit families
 # ---------------------------------------------------------------------------
@@ -205,17 +200,12 @@ def measure_prepare_instrument(a_effect, psi_prep, lab: int = 1,
     for name, s in (("a_effect", a), ("psi_prep", psi)):
         if abs(np.linalg.norm(s) - 1.0) > 1e-10:
             raise NotNormalized(f"{name} has norm {np.linalg.norm(s):.6f}")
-    u_sa = measure_prepare_joint_unitary(a, psi)
-    labels = lab_labels(lab, a.size)
     if setting_id is None:
         setting_id = f"mp(a={np.round(a, 6)},psi={np.round(psi, 6)})"
-    out = []
-    for m in (0, 1):
-        kraus = ancilla_block(u_sa, m, 0)
-        choi = choi_of_kraus([kraus], labels[:1], labels[1:])
-        out.append(ProbeElement(setting_id, str(m), choi.op,
-                                meta={"kind": "measure_prepare_circuit", "outcome": m}))
-    return out[0], out[1]
+    u_sa = (measure_prepare_joint_unitary(a, psi),)
+    return tuple(_circuit_probe(setting_id, str(m), {"kind": "measure_prepare_circuit",
+                                                     "outcome": m}, u_sa, m=m, lab=lab)
+                 for m in (0, 1))
 
 
 def _rotation(axis: np.ndarray, theta: float) -> np.ndarray:
@@ -246,11 +236,10 @@ _PAULI_EIGENVECTORS = {
 
 
 def unitary_only_family(lab: int = 1) -> ProbeFamily:
-    """The ten deterministic single-qubit probes as one-outcome settings."""
-    labels = lab_labels(lab, 2)
-    elems = [ProbeElement(f"U:{name}", "0",
-                          choi_of_unitary(u, labels[:1], labels[1:]).op,
-                          meta={"kind": "unitary", "name": name})
+    """The ten deterministic single-qubit probes as one-outcome settings: the
+    circuit applies U to the system and leaves the ancilla in |0>."""
+    elems = [_circuit_probe(f"U:{name}", "0", {"kind": "unitary", "name": name},
+                            (np.kron(u, PAULI_I),), lab=lab)
              for name, u in QUBIT16_UNITARIES]
     return ProbeFamily(tuple(elems), Provenance.UNITARY_ONLY, {"lab": lab})
 
@@ -258,26 +247,34 @@ def unitary_only_family(lab: int = 1) -> ProbeFamily:
 def qubit16_family(lab: int = 1) -> ProbeFamily:
     """Ten unitary probes plus the six Pauli measure-and-prepare probes.
 
-    Each measure-and-prepare setting prepares the ancilla in the +1 eigenstate
-    of a Pauli, swaps it with the system, and reads the ancilla out in the same
-    basis; the two outcomes give effects |p+-><p+-|^T with prepared state |p+>.
+    A measure-and-prepare setting for Pauli p with eigenbasis W_p = [|p+>, |p->]
+    runs (I (x) W_p^dag) SWAP (I (x) W_p) on system (x) ancilla: the ancilla
+    leaves |0> as |p+>, is swapped with the system, and its Z readout measures
+    the system in the p basis. Outcomes "+" and "-" are ancilla outcomes 0 and
+    1, with effects |p+-><p+-|^T and prepared state |p+>.
     """
-    labels = lab_labels(lab, 2)
+    swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
     elems = list(unitary_only_family(lab).elements)
     for basis_name, (plus, minus) in _PAULI_EIGENVECTORS.items():
-        prep = np.outer(plus, plus.conj())
-        for sign, eff_vec in (("+", plus), ("-", minus)):
-            effect_t = np.outer(eff_vec, eff_vec.conj()).T
-            choi = LabeledOperator(labels, np.kron(effect_t, prep))
-            elems.append(ProbeElement(f"MP:{basis_name}", sign, choi,
-                                      meta={"kind": "measure_prepare",
-                                            "basis": basis_name, "outcome": sign}))
+        w = np.stack([plus, minus], axis=1)
+        u = (np.kron(PAULI_I, w.conj().T) @ swap @ np.kron(PAULI_I, w),)
+        for m, sign in enumerate("+-"):
+            elems.append(_circuit_probe(f"MP:{basis_name}", sign,
+                                        {"kind": "measure_prepare", "basis": basis_name,
+                                         "outcome": sign}, u, m=m, lab=lab))
     return ProbeFamily(tuple(elems), Provenance.QUBIT16, {"lab": lab})
 
 
-def measure_prepare_family(d: int = 2, lab: int = 1) -> ProbeFamily:
+def measure_prepare_family(d: int = 2, lab: int = 1, element_cap: int = 20000) -> ProbeFamily:
     """Measure-and-prepare probes over the d^2 x d^2 state-tomography grid,
-    with the complementary outcome completing each setting to an instrument."""
+    with the complementary outcome completing each setting to an instrument.
+
+    The complement (I - |a><a|)^T (x) |psi><psi| has rank d - 1, so no single
+    qubit-ancilla circuit gives it and the elements carry no circuit.
+    Exceeding element_cap raises OutOfBudget before any element is built.
+    """
+    if 2 * d ** 4 > element_cap:
+        raise OutOfBudget(f"family would hold {2 * d ** 4} elements (cap {element_cap})")
     labels = lab_labels(lab, d)
     states = op_basis.tomography_state_vectors(d)
     elems = []
@@ -293,7 +290,8 @@ def measure_prepare_family(d: int = 2, lab: int = 1) -> ProbeFamily:
             elems.append(ProbeElement(sid, "1",
                                       LabeledOperator(labels, np.kron((eye - proj).T, prep)),
                                       meta={"effect": i, "prep": j, "complement": True}))
-    return ProbeFamily(tuple(elems), Provenance.MEASURE_PREPARE, {"d": d, "lab": lab})
+    return ProbeFamily(tuple(elems), Provenance.MEASURE_PREPARE,
+                       {"d": d, "lab": lab, "element_cap": element_cap})
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +340,13 @@ def phase_gate(theta: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
 
 
-def ancilla_superinstrument(setting: AncillaProbeSetting) -> ProbeElement:
-    """Multi-lab probe Choi |tau><tau| on (I1, O1, ..., IN, ON). The ancilla
-    state, phase-modified joint unitaries and final projector are pure, so
-    their link product is the projector onto the contraction of their Choi
-    vectors over the ancilla wires: tau = <m| vec(U_N) ... vec(P U_1) |psi>."""
+def ancilla_superinstrument(setting: AncillaProbeSetting, first_lab: int = 1) -> ProbeElement:
+    """Multi-lab probe Choi |tau><tau| on (I1, O1, ..., IN, ON), with the labs
+    numbered from first_lab. The ancilla state, phase-modified joint unitaries
+    and final projector are pure, so their link product is the projector onto
+    the contraction of their Choi vectors over the ancilla wires:
+    tau = <m| vec(U_N) ... vec(P U_1) |psi>. The element keeps the setting as
+    its circuit."""
     n, d = setting.n_labs, setting.d_sys
     tau = setting.psi.reshape(1, 2)  # axes: (I1, O1, ..., It, Ot), ancilla
     for t, u in enumerate(setting.lab_unitaries, start=1):
@@ -356,10 +356,17 @@ def ancilla_superinstrument(setting: AncillaProbeSetting) -> ProbeElement:
         tau = np.einsum("xa,iaob->xiob", tau, v).reshape(-1, 2)
     m = setting.outcome
     tau = tau[:, m]
-    labels = tuple(l for t in range(1, n + 1) for l in lab_labels(t, d))
+    labels = tuple(l for t in range(first_lab, first_lab + n) for l in lab_labels(t, d))
     return ProbeElement(f"anc(n={n},m={m})", str(m),
                         LabeledOperator(labels, np.outer(tau, tau.conj())),
-                        meta={"thetas": list(setting.thetas), "outcome": m})
+                        meta={"thetas": list(setting.thetas), "outcome": m}, circuit=setting)
+
+
+def _circuit_probe(setting_id: str, outcome: str, meta: dict, lab_unitaries, thetas=(),
+                   m: int = 0, lab: int = 1) -> ProbeElement:
+    """The family element of the circuit |0> -> lab unitaries -> Z outcome m."""
+    probe = ancilla_superinstrument(AncillaProbeSetting(KET0, lab_unitaries, thetas, m), lab)
+    return replace(probe, setting_id=setting_id, outcome=outcome, meta=meta)
 
 
 def phase_filter(values: dict[float, LabeledOperator]) -> LabeledOperator:
@@ -447,24 +454,16 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     four-point phase grid on every link, and both ancilla outcomes.
 
     Single-lab families have no phase links, where pure Weyl blocks span only
-    d^2 directions; that case falls back to the measure-and-prepare circuit
-    over the state-tomography grid, keeping the d^4 settings x 2 outcomes
-    layout. Settings may be subsampled deterministically for large N; without
-    a subsample, exceeding element_cap raises OutOfBudget.
+    d^2 directions; there setting s = effect * d^2 + prep runs the
+    measure-and-prepare circuit over the state-tomography grid, keeping the
+    d^4 settings x 2 outcomes layout. Settings may be subsampled
+    deterministically; without a subsample, exceeding element_cap raises
+    OutOfBudget before any element is built.
     """
     if n_labs < 1 or d < 2:
         raise InvalidSetting("need n_labs >= 1 and d >= 2")
     recipe = {"n_labs": n_labs, "d": d, "element_cap": element_cap,
               "subsample_settings": subsample_settings, "seed": seed}
-    if n_labs == 1:
-        states = op_basis.tomography_state_vectors(d)
-        elems = []
-        for i, a in enumerate(states):
-            for j, psi in enumerate(states):
-                pair = measure_prepare_instrument(a, psi, setting_id=f"wa:s{i * len(states) + j}")
-                elems.extend(replace(e, meta={"effect": i, "prep": j}) for e in pair)
-        return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
-
     n_settings = (d * d) ** (2 * n_labs)
     theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
     per_setting = len(theta_combos) * 2
@@ -480,21 +479,29 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
                 f"(cap {element_cap}); pass subsample_settings")
         chosen = list(range(n_settings))
 
-    # A lab unitary depends only on its position and its (mu, nu) pair.
-    positions = {_position(t, n_labs) for t in range(1, n_labs + 1)}
-    lab_unitaries = {key: block_unitary(weyl_block_spec(d, *key)) for key in
-                     itertools.product(positions, range(d * d), range(d * d))}
+    if n_labs == 1:
+        states = op_basis.tomography_state_vectors(d)
+    else:  # a lab unitary depends only on its position and its (mu, nu) pair
+        positions = {_position(t, n_labs) for t in range(1, n_labs + 1)}
+        lab_unitaries = {key: block_unitary(weyl_block_spec(d, *key)) for key in
+                         itertools.product(positions, range(d * d), range(d * d))}
     elems = []
     for s_idx in chosen:
-        pairs = _decode_setting(s_idx, n_labs, d)
-        us = tuple(lab_unitaries[(_position(t, n_labs), mu, nu)]
-                   for t, (mu, nu) in enumerate(pairs, start=1))
+        if n_labs == 1:
+            effect, prep = divmod(s_idx, d * d)
+            us = (measure_prepare_joint_unitary(states[effect], states[prep]),)
+        else:
+            pairs = _decode_setting(s_idx, n_labs, d)
+            us = tuple(lab_unitaries[(_position(t, n_labs), mu, nu)]
+                       for t, (mu, nu) in enumerate(pairs, start=1))
         for t_idx, thetas in enumerate(theta_combos):
             for m in (0, 1):
-                probe = ancilla_superinstrument(AncillaProbeSetting(KET0, us, thetas, outcome=m))
-                elems.append(ProbeElement(f"wa:s{s_idx}:th{t_idx}", str(m), probe.choi,
-                                          meta={"pairs": [list(p) for p in pairs],
-                                                "thetas": list(thetas), "outcome": m}))
+                if n_labs == 1:
+                    sid, meta = f"wa:s{s_idx}", {"effect": effect, "prep": prep}
+                else:
+                    sid, meta = f"wa:s{s_idx}:th{t_idx}", {
+                        "pairs": [list(p) for p in pairs], "thetas": list(thetas), "outcome": m}
+                elems.append(_circuit_probe(sid, str(m), meta, us, thetas, m=m))
     return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
 
 

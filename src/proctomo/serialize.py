@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
-from .errors import ParseError, ProctomoError
+from .errors import InvalidSetting, ParseError, ProctomoError
 from .probe_factory import GENERATORS, ProbeElement, ProbeFamily, Provenance
-from .process_sim import ExperimentRecord, ProcessSpec
+from .process_sim import NEGATIVITY_TOL, ExperimentRecord
 from .tensor_core import LabeledOperator, Role, SpaceLabel
 
 
@@ -144,6 +144,9 @@ def record_from_json(d) -> ExperimentRecord:
     if r.shots_total and not 0 <= r.count <= r.shots_total:
         raise ParseError(f"record {r.setting_id}/{r.outcome}: count {r.count} "
                          f"outside 0..{r.shots_total}")
+    if not r.shots_total and not 0 <= r.probability <= 1 + NEGATIVITY_TOL:
+        raise ParseError(f"record {r.setting_id}/{r.outcome}: probability "
+                         f"{r.probability!r} outside [0, 1]")
     return r
 
 
@@ -159,9 +162,16 @@ def records_from_json(text: str):
     if not isinstance(items, list):
         raise ParseError("records file must hold a JSON list")
     try:
-        return [record_from_json(d) for d in items]
+        records = [record_from_json(d) for d in items]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad record: {exc!r}") from exc
+    seen = set()
+    for r in records:
+        key = (r.setting_id, r.outcome)
+        if key in seen:
+            raise ParseError(f"duplicate record {r.setting_id}/{r.outcome}")
+        seen.add(key)
+    return records
 
 
 def records_to_csv(records) -> str:
@@ -177,76 +187,32 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def spec_to_json(spec: ProcessSpec) -> dict:
-    out = {"n_labs": spec.n_labs, "d_sys": spec.d_sys, "d_env": spec.d_env,
-           "name": spec.name, "seed": spec.seed}
-    if spec.channels is not None:
-        out["channels"] = [matrix_to_pairs(c) for c in spec.channels]
-    else:
-        out["env_state"] = matrix_to_pairs(spec.env_state)
-        out["unitaries"] = [matrix_to_pairs(u) for u in spec.unitaries]
-    return out
-
-
-def spec_from_json(data) -> ProcessSpec:
-    if "channels" in data:
-        return ProcessSpec(int(data["n_labs"]), int(data["d_sys"]), int(data["d_env"]),
-                           channels=tuple(pairs_to_matrix(c) for c in data["channels"]),
-                           name=data.get("name", "custom"), seed=data.get("seed"))
-    return ProcessSpec(int(data["n_labs"]), int(data["d_sys"]), int(data["d_env"]),
-                       env_state=pairs_to_matrix(data["env_state"]),
-                       unitaries=tuple(pairs_to_matrix(u) for u in data["unitaries"]),
-                       name=data.get("name", "custom"), seed=data.get("seed"))
-
-
 # ---------------------------------------------------------------------------
 # Circuit manifests
 # ---------------------------------------------------------------------------
 
-_SWAP2 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                  dtype=np.complex128)
-
-
-def _setting_manifest(elements: list[ProbeElement], d: int) -> dict:
-    """One circuit per setting: ancilla prep, joint lab unitaries, phase gates,
-    and the final ancilla measurement. Native-gate decomposition is not done."""
-    from . import probe_factory as pf
-    from . import op_basis
-
-    first = elements[0]
-    meta = first.meta or {}
-    kind = meta.get("kind")
-    manifest = {"setting": first.setting_id,
-                "outcomes": [e.outcome for e in elements]}
-    if kind == "unitary":
-        name = meta.get("name", "U")
-        u = dict(pf.QUBIT16_UNITARIES)[name]
-        manifest.update({"ancilla_prep": "|0>",
-                         "labs": [matrix_to_pairs(np.kron(u, np.eye(2)))],
-                         "phase_gates": [], "measure": None})
-    elif kind == "measure_prepare":
-        basis = meta.get("basis", "Z")
-        manifest.update({"ancilla_prep": f"|{basis}+>",
-                         "labs": [matrix_to_pairs(_SWAP2)],
-                         "phase_gates": [], "measure": f"{basis} on ancilla"})
-    elif "pairs" in meta:
-        us = pf.weyl_lab_unitaries(d, [tuple(p) for p in meta["pairs"]])
-        manifest.update({"ancilla_prep": "|0>",
-                         "labs": [matrix_to_pairs(u) for u in us],
-                         "phase_gates": list(meta.get("thetas", [])),
-                         "measure": "Z on ancilla"})
-    elif "effect" in meta and "prep" in meta:
-        states = op_basis.tomography_state_vectors(d)
-        u = pf.measure_prepare_joint_unitary(states[meta["effect"]], states[meta["prep"]])
-        manifest.update({"ancilla_prep": "|0>",
-                         "labs": [matrix_to_pairs(u)],
-                         "phase_gates": [], "measure": "Z on ancilla"})
-    else:
-        manifest.update({"ancilla_prep": "|0>", "labs": [], "phase_gates": [],
-                         "measure": "Z on ancilla"})
-    return manifest
+def _same_circuit(a, b) -> bool:
+    """Whether two ancilla settings differ at most in their outcome."""
+    return (np.array_equal(a.psi, b.psi) and a.thetas == b.thetas
+            and len(a.lab_unitaries) == len(b.lab_unitaries)
+            and all(np.array_equal(u, v) for u, v in zip(a.lab_unitaries, b.lab_unitaries)))
 
 
 def family_manifests(family: ProbeFamily) -> list[dict]:
-    d = family.elements[0].choi.labels[0].dim if len(family) else 2
-    return [_setting_manifest(elems, d) for elems in family.settings().values()]
+    """One circuit per setting, read from the circuits its elements were built
+    from: ancilla state, joint system (x) ancilla lab unitaries, the phase gate
+    angles between labs, and the final Z measurement of the ancilla, whose
+    outcome m is the setting's m-th outcome. Native-gate decomposition is not
+    done."""
+    manifests = []
+    for sid, elems in family.settings().items():
+        first = elems[0].circuit
+        if not all(e.circuit is not None and e.circuit.outcome == m
+                   and _same_circuit(e.circuit, first) for m, e in enumerate(elems)):
+            raise InvalidSetting(f"setting {sid!r} is not the outcomes 0, 1, ... of one "
+                                 f"qubit-ancilla circuit")
+        manifests.append({"setting": sid, "outcomes": [e.outcome for e in elems],
+                          "ancilla_prep": [[float(x.real), float(x.imag)] for x in first.psi],
+                          "labs": [matrix_to_pairs(u) for u in first.lab_unitaries],
+                          "phase_gates": list(first.thetas), "measure": "Z on ancilla"})
+    return manifests

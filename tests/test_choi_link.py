@@ -4,7 +4,6 @@ import pytest
 from proctomo.choi_link import (
     ChoiKind,
     CombDirection,
-    apply_channel,
     bell_matrix,
     choi_of_kraus,
     choi_of_unitary,
@@ -113,13 +112,13 @@ def test_choi_of_kraus_errors():
 
 def test_apply_channel_identity(rng):
     rho = LabeledOperator((LI,), random_density(rng, 2))
-    out = apply_channel(choi_of_unitary(np.eye(2)), rho)
+    out = link_product(rho, choi_of_unitary(np.eye(2)))
     assert np.allclose(out.mat, rho.mat)
 
 
 def test_apply_channel_x():
     rho = LabeledOperator((LI,), np.diag([1.0, 0.0]))
-    out = apply_channel(choi_of_unitary(PAULI_X), rho)
+    out = link_product(rho, choi_of_unitary(PAULI_X))
     assert np.allclose(out.mat, np.diag([0.0, 1.0]))
 
 
@@ -130,7 +129,7 @@ def test_apply_channel_matches_kraus(rng):
         kraus = [q[:2, :], q[2:, :]]
         ch = choi_of_kraus(kraus)
         rho_m = random_density(rng, 2)
-        out = apply_channel(ch, LabeledOperator((LI,), rho_m))
+        out = link_product(LabeledOperator((LI,), rho_m), ch)
         direct = sum(k @ rho_m @ k.conj().T for k in kraus)
         assert np.max(np.abs(out.mat - direct)) < 1e-12
 

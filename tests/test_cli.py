@@ -1,5 +1,6 @@
 import filecmp
 import json
+import time
 
 import pytest
 
@@ -131,10 +132,10 @@ def test_export_circuits(tmp_path):
     manifests = json.loads((out / "circuits.json").read_text())
     assert len(manifests) == 13
     unitary = [m for m in manifests if m["setting"].startswith("U:")]
-    assert len(unitary) == 10 and all(m["measure"] is None for m in unitary)
+    assert len(unitary) == 10 and all(m["outcomes"] == ["0"] for m in unitary)
     mp = {m["setting"]: m for m in manifests if m["setting"].startswith("MP:")}
-    assert {m["measure"] for m in mp.values()} == {
-        "X on ancilla", "Y on ancilla", "Z on ancilla"}
+    assert set(mp) == {"MP:X", "MP:Y", "MP:Z"}
+    assert {m["measure"] for m in manifests} == {"Z on ancilla"}
 
 
 def test_export_circuits_weyl_ancilla(tmp_path):
@@ -143,8 +144,48 @@ def test_export_circuits_weyl_ancilla(tmp_path):
                 "--out", out]) == 0
     manifests = json.loads((out / "circuits.json").read_text())
     assert len(manifests) == 1024
-    assert manifests[0]["ancilla_prep"] == "|0>"
+    assert manifests[0]["ancilla_prep"] == [[1.0, 0.0], [0.0, 0.0]]
     assert len(manifests[0]["labs"]) == 2
+
+
+def test_export_circuits_without_circuit_exits_2(tmp_path):
+    out = tmp_path / "circ"
+    assert run(["export-circuits", "--family", "measure_prepare", "--out", out]) == 2
+    assert not (out / "circuits.json").exists()
+
+
+@pytest.mark.parametrize("provenance, recipe", [
+    ("WeylAncilla", {"n_labs": 1, "d": 40}),
+    ("MeasurePrepare", {"d": 40}),
+])
+def test_reconstruct_oversized_recipe_exits_2_quickly(tmp_path, provenance, recipe):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    header = {"type": "probe_family", "provenance": provenance, "count": 1, "recipe": recipe}
+    (out / "family.jsonl").write_text(json.dumps(header) + "\n"
+                                      + json.dumps({"setting": "x", "outcome": "0"}) + "\n")
+    start = time.perf_counter()
+    assert run(["reconstruct", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def _edit_exact_records(out, edit):
+    assert run(["simulate", "--labs", 1, "--shots", 0, "--out", out]) == 0
+    records = json.loads((out / "records.json").read_text())
+    edit(records)
+    (out / "records.json").write_text(json.dumps(records))
+
+
+def test_reconstruct_duplicate_record_exits_2(tmp_path):
+    out = tmp_path / "run"
+    _edit_exact_records(out, lambda rs: rs.append({**rs[0], "probability": 0.9}))
+    assert run(["reconstruct", "--out", out]) == 2
+
+
+def test_reconstruct_probability_outside_unit_interval_exits_2(tmp_path):
+    out = tmp_path / "run"
+    _edit_exact_records(out, lambda rs: rs[0].update(probability=7.5))
+    assert run(["reconstruct", "--out", out]) == 2
 
 
 def test_verify_passes(tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import proctomo
 from proctomo.choi_link import choi_of_unitary
 from proctomo.errors import EmptyFamily, IndexOutOfRange
 from proctomo.op_basis import (
@@ -76,6 +79,15 @@ def test_weyl_unitarity():
 
 def test_clifford_cardinality():
     assert len(clifford_design_qubit()) == 24
+
+
+def test_package_has_no_assert_statements():
+    """Checks must raise named errors: asserts vanish under python -O."""
+    src = pathlib.Path(proctomo.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_clifford_permutes_paulis():

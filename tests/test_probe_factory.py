@@ -3,6 +3,7 @@ import pytest
 
 from proctomo.choi_link import (
     CombDirection,
+    choi_of_kraus,
     choi_of_unitary,
     link_product,
     validate_comb,
@@ -22,19 +23,21 @@ from proctomo.op_basis import (
     haar_state,
     haar_unitary,
     span_dimension,
+    tomography_state_vectors,
     weyl_basis,
     weyl_product_index,
 )
 from proctomo.probe_factory import (
     KET0,
+    QUBIT16_UNITARIES,
     THETA_GRID,
     AncillaProbeSetting,
     BlockUnitarySpec,
     ancilla_block,
     ancilla_superinstrument,
     block_unitary,
-    extract_blocks,
     measure_prepare_family,
+    measure_prepare_joint_unitary,
     lab_labels,
     operator_schmidt_rank,
     phase_filter,
@@ -44,6 +47,7 @@ from proctomo.probe_factory import (
     weyl_ancilla_family,
     weyl_isolated_term,
     weyl_lab_unitaries,
+    qubit16_family,
     unitary_only_family,
 )
 from proctomo.tensor_core import LabeledOperator, Role, SpaceLabel, canonicalize, tensor
@@ -90,18 +94,17 @@ def test_block_unitary_rejects_large_singular_value():
 
 
 def test_extract_blocks_identity():
-    blocks = extract_blocks(np.eye(4))
-    assert np.allclose(blocks[(0, 0)], np.eye(2))
-    assert np.allclose(blocks[(1, 1)], np.eye(2))
-    assert np.allclose(blocks[(0, 1)], 0)
-    assert np.allclose(blocks[(1, 0)], 0)
+    assert np.allclose(ancilla_block(np.eye(4), 0, 0), np.eye(2))
+    assert np.allclose(ancilla_block(np.eye(4), 1, 1), np.eye(2))
+    assert np.allclose(ancilla_block(np.eye(4), 0, 1), 0)
+    assert np.allclose(ancilla_block(np.eye(4), 1, 0), 0)
 
 
 def test_blocks_column_isometry(rng):
     for _ in range(10):
         u = haar_unitary(4, rng)
-        b = extract_blocks(u)
-        gram = b[(0, 0)].conj().T @ b[(0, 0)] + b[(1, 0)].conj().T @ b[(1, 0)]
+        b00, b10 = ancilla_block(u, 0, 0), ancilla_block(u, 1, 0)
+        gram = b00.conj().T @ b00 + b10.conj().T @ b10
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
 
@@ -382,6 +385,67 @@ def test_weyl_ancilla_family_budget_and_subsample():
     ids_a = sorted({e.setting_id for e in fam_a})
     ids_c = sorted({e.setting_id for e in fam_c})
     assert ids_a != ids_c
+
+
+def test_single_lab_budget_checked_before_building():
+    with pytest.raises(OutOfBudget):
+        weyl_ancilla_family(1, 5, element_cap=10)
+    with pytest.raises(OutOfBudget):
+        measure_prepare_family(5, element_cap=10)
+    assert len(measure_prepare_family(2, element_cap=32)) == 32
+
+
+def test_single_lab_subsample_is_honoured():
+    full = {e.record_key: e for e in weyl_ancilla_family(1, 2)}
+    fam = weyl_ancilla_family(1, 2, subsample_settings=3, seed=4)
+    assert len(fam) == 3 * 2 and len(fam.settings()) == 3
+    for e in fam:
+        assert e.meta == full[e.record_key].meta
+        assert np.array_equal(e.choi.mat, full[e.record_key].choi.mat)
+
+
+def _pauli_projector(basis, sign):
+    plus, minus = {"X": ([1, 1], [1, -1]), "Y": ([1, 1j], [1, -1j]), "Z": ([1, 0], [0, 1])}[basis]
+    v = np.array(plus if sign == "+" else minus, dtype=complex)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def test_circuit_chois_match_independent_references():
+    """Each generator's Chois, built from circuits, against references that
+    use no ancilla contraction."""
+    labels = lab_labels(1, 2)
+    u_by_name = dict(QUBIT16_UNITARIES)
+    for fam in (unitary_only_family(), qubit16_family()):
+        for e in fam:
+            if e.meta["kind"] == "unitary":
+                ref = choi_of_unitary(u_by_name[e.meta["name"]], labels[:1], labels[1:]).mat
+            else:
+                ref = np.kron(_pauli_projector(e.meta["basis"], e.outcome).T,
+                              _pauli_projector(e.meta["basis"], "+"))
+            assert e.choi.labels == labels
+            assert np.max(np.abs(e.choi.mat - ref)) <= 1e-12
+    for d in (2, 3):
+        states = tomography_state_vectors(d)
+        labels = lab_labels(1, d)
+        for e in weyl_ancilla_family(1, d):
+            u = measure_prepare_joint_unitary(states[e.meta["effect"]], states[e.meta["prep"]])
+            kraus = ancilla_block(u, int(e.outcome), 0)
+            ref = choi_of_kraus([kraus], labels[:1], labels[1:]).mat
+            assert np.max(np.abs(e.choi.mat - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", [
+    unitary_only_family, qubit16_family, lambda: qubit16_family(lab=2),
+    lambda: weyl_ancilla_family(1, 3), lambda: weyl_ancilla_family(2, 2, subsample_settings=5),
+])
+def test_generated_elements_keep_their_circuit(family):
+    for e in family():
+        assert e.circuit is not None and e.circuit.outcome == int(e.outcome in ("1", "-"))
+        rebuilt = ancilla_superinstrument(e.circuit, e.choi.labels[0].lab).choi
+        assert rebuilt.labels == e.choi.labels
+        assert np.array_equal(rebuilt.mat, e.choi.mat)
+    assert all(e.circuit is None for e in measure_prepare_family(2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proctomo import serialize
-from proctomo.errors import ParseError
+from proctomo.errors import InvalidSetting, ParseError
 from proctomo.probe_factory import (
+    KET0,
+    AncillaProbeSetting,
     ProbeFamily,
+    ancilla_superinstrument,
     measure_prepare_family,
     qubit16_family,
     unitary_only_family,
@@ -171,32 +175,15 @@ def test_records_csv_columns(qubit16):
     assert len(lines) == len(records) + 1
 
 
-def test_spec_roundtrip():
-    spec = preset_process("HaarEnv", 2, 2, seed=5)
-    back = serialize.spec_from_json(json.loads(json.dumps(serialize.spec_to_json(spec))))
-    assert back.n_labs == spec.n_labs and back.d_env == spec.d_env
-    for u1, u2 in zip(spec.unitaries, back.unitaries):
-        assert np.array_equal(u1, u2)
-    w1 = build_process(spec)
-    w2 = build_process(back)
-    assert np.array_equal(w1.mat, w2.mat)
-
-
-def test_markov_spec_roundtrip():
-    spec = preset_process("MarkovDepolarizing", 1, 2, p=0.25)
-    back = serialize.spec_from_json(json.loads(json.dumps(serialize.spec_to_json(spec))))
-    for c1, c2 in zip(spec.channels, back.channels):
-        assert np.array_equal(c1, c2)
-
-
 def test_manifests_qubit16(qubit16):
     manifests = serialize.family_manifests(qubit16)
     assert len(manifests) == 13
     by_setting = {m["setting"]: m for m in manifests}
     u_manifest = by_setting["U:H"]
-    assert u_manifest["measure"] is None and len(u_manifest["labs"]) == 1
+    assert u_manifest["measure"] == "Z on ancilla" and len(u_manifest["labs"]) == 1
     mp_manifest = by_setting["MP:X"]
-    assert mp_manifest["measure"] == "X on ancilla"
+    assert mp_manifest["measure"] == "Z on ancilla"
+    assert mp_manifest["ancilla_prep"] == [[1.0, 0.0], [0.0, 0.0]]
     assert mp_manifest["outcomes"] == ["+", "-"]
 
 
@@ -205,7 +192,55 @@ def test_manifests_weyl_ancilla():
     manifests = serialize.family_manifests(fam)
     assert len(manifests) == 1024
     m = manifests[0]
-    assert m["ancilla_prep"] == "|0>" and m["measure"] == "Z on ancilla"
+    assert m["ancilla_prep"] == [[1.0, 0.0], [0.0, 0.0]] and m["measure"] == "Z on ancilla"
     assert len(m["labs"]) == 2 and len(m["phase_gates"]) == 1
     mat = serialize.pairs_to_matrix(m["labs"][0])
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(4))) < 1e-10
+
+
+MANIFEST_FAMILIES = {
+    "qubit16": qubit16_family,
+    "unitary_only": unitary_only_family,
+    "weyl_n1_d2": lambda: weyl_ancilla_family(1, 2),
+    "weyl_n1_d3": lambda: weyl_ancilla_family(1, 3),
+    "weyl_n2_full": lambda: weyl_ancilla_family(2, 2),
+    "weyl_n3_sub20": lambda: weyl_ancilla_family(3, 2, subsample_settings=20, seed=7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MANIFEST_FAMILIES))
+def test_manifests_rebuild_every_element(kind):
+    """The exported circuits, read back from JSON, give every element's Choi."""
+    family = MANIFEST_FAMILIES[kind]()
+    manifests = json.loads(json.dumps(serialize.family_manifests(family)))
+    assert len(manifests) == len(family.settings())
+    elements = {e.record_key: e for e in family}
+    rebuilt = 0
+    for m in manifests:
+        psi = np.array([complex(re, im) for re, im in m["ancilla_prep"]])
+        us = tuple(serialize.pairs_to_matrix(u) for u in m["labs"])
+        n, side = len(us), us[0].shape[0]
+        # the paper's shape: |0>, N joint 2d x 2d labs, N - 1 phase gates, one Z readout
+        assert np.array_equal(psi, KET0) and m["measure"] == "Z on ancilla"
+        assert len(m["phase_gates"]) == n - 1 and side % 2 == 0
+        assert all(u.shape == (side, side) and
+                   np.max(np.abs(u.conj().T @ u - np.eye(side))) <= 1e-12 for u in us)
+        for outcome, label in enumerate(m["outcomes"]):
+            setting = AncillaProbeSetting(psi, us, tuple(m["phase_gates"]), outcome)
+            choi = ancilla_superinstrument(setting).choi
+            element = elements[(m["setting"], label)]
+            assert choi.labels == element.choi.labels
+            assert np.max(np.abs(choi.mat - element.choi.mat)) <= 1e-12
+            rebuilt += 1
+    assert rebuilt == len(family)
+
+
+def test_manifests_reject_family_without_circuits():
+    with pytest.raises(InvalidSetting) as err:
+        serialize.family_manifests(measure_prepare_family(2))
+    assert "MP:0:0" in str(err.value)
+    e0, e1, _, y1 = qubit16_family().elements[10:14]  # MP:X "+", "-"; MP:Y "+", "-"
+    with pytest.raises(InvalidSetting):  # outcome labels out of circuit order
+        serialize.family_manifests(ProbeFamily((e1, e0)))
+    with pytest.raises(InvalidSetting):  # one setting, two different circuits
+        serialize.family_manifests(ProbeFamily((e0, replace(y1, setting_id="MP:X"))))
