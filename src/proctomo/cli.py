@@ -198,94 +198,99 @@ def cmd_export_circuits(cfg: RunConfig) -> int:
     return 0
 
 
-def _verify_checks(cfg: RunConfig):
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xEF]))
-    checks = []
-
+def _span_formulas(cfg: RunConfig, rng):
     report = op_basis.span_bound_reports(cfg.dim, seed=cfg.seed, tol=cfg.span_tol)
-    checks.append(("span_formulas", report.all_match,
-                   {r.family: r.measured for r in report.rows}))
+    return report.all_match, {r.family: r.measured for r in report.rows}
 
+
+def _clifford_twirl(cfg: RunConfig, rng, samples: int = 20):
     design = op_basis.clifford_design_qubit()
-    worst = 0.0
-    for _ in range(20):
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        worst = max(worst, float(np.max(np.abs(
-            op_basis.haar_twirl2(x) - op_basis.design_twirl2(x, design)))))
-    checks.append(("clifford_twirl", worst <= 1e-10, {"max_delta": worst}))
+    xs = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(samples)]
+    worst = max(float(np.max(np.abs(op_basis.haar_twirl2(x) - op_basis.design_twirl2(x, design))))
+                for x in xs)
+    return worst <= 1e-10, {"samples": samples, "max_delta": worst}
 
+
+def _measure_prepare_choi(cfg: RunConfig, rng, circuits: int = 20):
     worst = 0.0
-    for _ in range(20):
-        a = op_basis.haar_state(2, rng)
-        psi = op_basis.haar_state(2, rng)
+    for _ in range(circuits):
+        a, psi = op_basis.haar_state(2, rng), op_basis.haar_state(2, rng)
         e0, _ = probe_factory.measure_prepare_instrument(a, psi)
         target = np.kron(np.outer(a, a.conj()).T, np.outer(psi, psi.conj()))
         worst = max(worst, float(np.linalg.norm(e0.choi.mat - target)))
-    checks.append(("measure_prepare_choi", worst <= 1e-10, {"max_frobenius": worst}))
+    return worst <= 1e-10, {"circuits": circuits, "max_frobenius": worst}
 
-    n_filter = max(2, min(cfg.labs, 3))
+
+def _phase_filter_isolation(cfg: RunConfig, rng, settings: int = 256):
+    """Distinct qubit Weyl settings at N = clamp(labs, 2, 3), each filtered over
+    its outcome-0 theta grid, against the isolated tensor term."""
+    n = max(2, min(cfg.labs, 3))
+    grid = list(itertools.product(probe_factory.THETA_GRID, repeat=n - 1))
     worst = 0.0
-    for _ in range(6):
-        pairs = [tuple(int(x) for x in rng.integers(0, 4, 2)) for _ in range(n_filter)]
-        us = probe_factory.weyl_lab_unitaries(2, pairs)
-        axes = n_filter - 1
-        grid = {thetas: probe_factory.ancilla_superinstrument(
-                    probe_factory.AncillaProbeSetting(probe_factory.KET0, tuple(us),
-                                                      thetas, outcome=0)).choi
-                for thetas in itertools.product(probe_factory.THETA_GRID, repeat=axes)}
-        for left in reversed(range(axes)):
-            grid = {rest: probe_factory.phase_filter(
-                        {t: grid[(t,) + rest] for t in probe_factory.THETA_GRID})
-                    for rest in itertools.product(probe_factory.THETA_GRID, repeat=left)}
-        iso = grid[()]
-        oracle = probe_factory.weyl_isolated_term(2, pairs)
-        worst = max(worst, float(np.max(np.abs(iso.mat - oracle.mat))))
-    checks.append(("phase_filter_isolation", worst <= 1e-9, {"max_delta": worst}))
+    for index in rng.choice(16 ** n, size=settings, replace=False):
+        pairs = probe_factory._decode_setting(int(index), n, 2)
+        us = tuple(probe_factory.weyl_lab_unitaries(2, pairs))
+        chois = np.stack([probe_factory.ancilla_superinstrument(probe_factory.AncillaProbeSetting(
+            probe_factory.KET0, us, thetas)).choi.mat for thetas in grid])
+        iso = probe_factory.phase_filter(chois.reshape((4,) * (n - 1) + chois.shape[1:]), n - 1)
+        iso -= probe_factory.weyl_isolated_term(2, pairs).mat
+        worst = max(worst, float(np.max(np.abs(iso))))
+    return worst <= 1e-9, {"settings": settings, "max_delta": worst}
 
-    comb_ok, comb_worst = True, 0.0
-    for preset in ("IdentityWire", "HaarEnv", "ClassicalMemory"):
-        spec = process_sim.preset_process(preset, cfg.labs, 2, seed=cfg.seed)
-        w = process_sim.build_process(spec)
-        comb_worst = max(comb_worst, w.comb_report.max_violation)
-        comb_ok = comb_ok and w.comb_report.passed
-    checks.append(("preset_comb", comb_ok, {"max_violation": comb_worst}))
 
-    worst_rank = 0
-    n_probe_labs = max(2, cfg.labs)
-    for _ in range(5):
-        us = []
-        for _ in range(n_probe_labs):
-            k00 = rng.uniform(0, 1) * op_basis.haar_unitary(2, rng)
-            us.append(probe_factory.block_unitary(probe_factory.BlockUnitarySpec(
-                k00, op_basis.haar_unitary(2, rng), op_basis.haar_unitary(2, rng))))
-        st = probe_factory.AncillaProbeSetting(
-            probe_factory.KET0, tuple(us),
-            tuple(rng.uniform(-np.pi, np.pi, n_probe_labs - 1)), outcome=0)
-        e = probe_factory.ancilla_superinstrument(st)
-        for k in range(1, n_probe_labs):
-            worst_rank = max(worst_rank, probe_factory.operator_schmidt_rank(
-                e, set(range(1, k + 1))))
-    checks.append(("schmidt_bound", worst_rank <= 4, {"max_rank": worst_rank}))
+def _preset_comb(cfg: RunConfig, rng):
+    reports = [process_sim.build_process(process_sim.preset_process(
+        preset, cfg.labs, 2, seed=cfg.seed)).comb_report
+        for preset in ("IdentityWire", "HaarEnv", "ClassicalMemory")]
+    return all(r.passed for r in reports), {"max_violation": max(r.max_violation for r in reports)}
 
-    q16 = probe_factory.qubit16_family()
-    bundle = tomography.build_frame(q16)
+
+def _schmidt_bound(cfg: RunConfig, rng, probes: int = 10):
+    """Bond of random block-unitary ancilla probes at every cut of max(2, labs) labs."""
+    n = max(2, cfg.labs)
+    worst = 0
+    for _ in range(probes):
+        us = tuple(probe_factory.block_unitary(probe_factory.BlockUnitarySpec(
+            rng.uniform(0, 1) * op_basis.haar_unitary(2, rng), op_basis.haar_unitary(2, rng),
+            op_basis.haar_unitary(2, rng))) for _ in range(n))
+        e = probe_factory.ancilla_superinstrument(probe_factory.AncillaProbeSetting(
+            probe_factory.KET0, us, tuple(rng.uniform(-np.pi, np.pi, n - 1)),
+            outcome=int(rng.integers(0, 2))))
+        worst = max([worst] + [probe_factory.operator_schmidt_rank(e, set(range(1, k + 1)))
+                               for k in range(1, n)])
+    return worst <= 4, {"probes": probes, "max_rank": worst}
+
+
+def _qubit16_frame(cfg: RunConfig, rng):
+    bundle = tomography.build_frame(probe_factory.qubit16_family())
     resid = tomography.dual_identity_check(bundle) if bundle.is_complete else float("inf")
-    checks.append(("qubit16_frame", bundle.rank == 16 and resid <= 1e-8,
-                   {"rank": bundle.rank, "dual_residual": resid}))
-    return checks
+    return bundle.rank == 16 and resid <= 1e-8, {"rank": bundle.rank, "dual_residual": resid}
+
+
+# name -> check(cfg, rng) -> (passed, detail), in verify.json order; the
+# acceptance tests run these checks too
+CHECKS = {"span_formulas": _span_formulas, "clifford_twirl": _clifford_twirl,
+          "measure_prepare_choi": _measure_prepare_choi,
+          "phase_filter_isolation": _phase_filter_isolation, "preset_comb": _preset_comb,
+          "schmidt_bound": _schmidt_bound, "qubit16_frame": _qubit16_frame}
+
+
+def run_check(name: str, cfg: RunConfig) -> tuple[bool, dict]:
+    """One registered check with its own random stream, so its result does not
+    depend on which checks ran before it."""
+    passed, detail = CHECKS[name](cfg, process_sim.derive_rng(cfg.seed, "verify", name))
+    return bool(passed), detail
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     payload = []
-    all_ok = True
-    for name, ok, detail in checks:
-        all_ok = all_ok and ok
-        payload.append({"check": name, "passed": bool(ok), "detail": detail})
+    for name in CHECKS:
+        ok, detail = run_check(name, cfg)
+        payload.append({"check": name, "passed": ok, "detail": detail})
         print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
-    _write_json(os.path.join(cfg.out, "verify.json"),
-                {"passed": all_ok, "checks": payload})
+    all_ok = all(c["passed"] for c in payload)
+    _write_json(os.path.join(cfg.out, "verify.json"), {"passed": all_ok, "checks": payload})
     return 0 if all_ok else 1
 
 

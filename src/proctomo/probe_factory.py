@@ -369,23 +369,22 @@ def _circuit_probe(setting_id: str, outcome: str, meta: dict, lab_unitaries, the
     return replace(probe, setting_id=setting_id, outcome=outcome, meta=meta)
 
 
-def phase_filter(values: dict[float, LabeledOperator]) -> LabeledOperator:
-    """Four-point combination (T(0) - T(pi) - i T(pi/2) + i T(-pi/2)) / 4,
-    extracting the e^{i theta} Fourier component of a phase-indexed family."""
-    def lookup(theta):
-        for key, op in values.items():
-            if abs(key - theta) < 1e-9:
-                return op
-        raise MissingSample(f"no sample at theta = {theta}")
+def phase_filter(samples, links: int = 1) -> np.ndarray:
+    """Nested four-point filter (T(0) - T(pi) - i T(pi/2) + i T(-pi/2)) / 4,
+    extracting the e^{i theta} Fourier component on each phase link.
 
-    t0, tpi = lookup(0.0), lookup(np.pi)
-    tp, tm = lookup(np.pi / 2), lookup(-np.pi / 2)
-    sig = t0.labels
-    for op in (tpi, tp, tm):
-        if op.keys != t0.keys:
-            raise MissingSample("phase samples have inconsistent label signatures")
-    out = (t0.mat - tpi.mat - 1j * tp.mat + 1j * tm.mat) / 4
-    return LabeledOperator(sig, out)
+    samples is an array whose first `links` axes each run over THETA_GRID;
+    the remaining axes (a Choi matrix, a batch of settings, probabilities)
+    are carried through. A link axis without four samples raises MissingSample.
+    """
+    arr = np.asarray(samples)
+    if arr.shape[:links] != (len(THETA_GRID),) * links:
+        raise MissingSample(f"need {len(THETA_GRID)} phase samples on each of {links} "
+                            f"leading axes, got shape {arr.shape}")
+    weights = np.array([1, -1, -1j, 1j]) / 4  # over THETA_GRID = (0, pi, pi/2, -pi/2)
+    for _ in range(links):
+        arr = np.tensordot(weights, arr, axes=1)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +456,24 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     d^2 directions; there setting s = effect * d^2 + prep runs the
     measure-and-prepare circuit over the state-tomography grid, keeping the
     d^4 settings x 2 outcomes layout. Settings may be subsampled
-    deterministically; without a subsample, exceeding element_cap raises
-    OutOfBudget before any element is built.
+    deterministically; with or without a subsample, exceeding element_cap
+    raises OutOfBudget before any element is built.
     """
     if n_labs < 1 or d < 2:
         raise InvalidSetting("need n_labs >= 1 and d >= 2")
     recipe = {"n_labs": n_labs, "d": d, "element_cap": element_cap,
               "subsample_settings": subsample_settings, "seed": seed}
     n_settings = (d * d) ** (2 * n_labs)
-    theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
-    per_setting = len(theta_combos) * 2
+    n_chosen = n_settings if subsample_settings is None else subsample_settings
+    if n_chosen > n_settings:
+        raise InvalidSetting("subsample larger than the full setting grid")
+    if n_chosen * 2 * 4 ** (n_labs - 1) > element_cap:
+        raise OutOfBudget(f"family would hold {n_chosen * 2 * 4 ** (n_labs - 1)} elements "
+                          f"(cap {element_cap}); subsample fewer settings")
+    chosen = range(n_settings)
     if subsample_settings is not None:
-        if subsample_settings > n_settings:
-            raise InvalidSetting("subsample larger than the full setting grid")
         rng = np.random.default_rng(np.random.SeedSequence([seed, n_labs, d, 0x7E2]))
         chosen = sorted(rng.choice(n_settings, size=subsample_settings, replace=False).tolist())
-    else:
-        if n_settings * per_setting > element_cap:
-            raise OutOfBudget(
-                f"family would hold {n_settings * per_setting} elements "
-                f"(cap {element_cap}); pass subsample_settings")
-        chosen = list(range(n_settings))
 
     if n_labs == 1:
         states = op_basis.tomography_state_vectors(d)
@@ -485,6 +481,7 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
         positions = {_position(t, n_labs) for t in range(1, n_labs + 1)}
         lab_unitaries = {key: block_unitary(weyl_block_spec(d, *key)) for key in
                          itertools.product(positions, range(d * d), range(d * d))}
+    theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
     elems = []
     for s_idx in chosen:
         if n_labs == 1:

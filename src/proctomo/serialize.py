@@ -6,12 +6,14 @@ parse -> serialize round trip is bit-identical.
 """
 
 import csv
+import inspect
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import InvalidSetting, ParseError, ProctomoError
+from .errors import InvalidSetting, OutOfBudget, ParseError, ProctomoError
 from .probe_factory import GENERATORS, ProbeElement, ProbeFamily, Provenance
 from .process_sim import NEGATIVITY_TOL, ExperimentRecord
 from .tensor_core import LabeledOperator, Role, SpaceLabel
@@ -70,7 +72,7 @@ def family_to_jsonl(family: ProbeFamily) -> str:
 
 def family_from_jsonl(text: str) -> ProbeFamily:
     """Inverse of family_to_jsonl. A family with a recipe is rebuilt by its
-    generator, and each line must match the rebuilt element."""
+    generator, at most as long as the file, and each line must match it."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty probe family file", line=1)
@@ -98,10 +100,15 @@ def family_from_jsonl(text: str) -> ProbeFamily:
     if generator is None or not isinstance(recipe, dict) or not all(
             v is None or type(v) is int for v in recipe.values()):
         raise ParseError(f"bad recipe {recipe!r} for provenance {provenance.value}", line=1)
+    # cap the generator at the listed count, so an oversized recipe builds nothing
+    bounded = ("element_cap" in inspect.signature(generator).parameters
+               and (recipe.get("element_cap") is None or recipe["element_cap"] > len(items)))
+    kwargs = {**recipe, "element_cap": len(items)} if bounded else recipe
     try:
-        family = generator(**recipe)
+        family = replace(generator(**kwargs), recipe=recipe)
     except (TypeError, ValueError, ProctomoError) as exc:
-        raise ParseError(f"bad recipe {recipe!r}: {exc}", line=1) from exc
+        line = len(lines) if bounded and isinstance(exc, OutOfBudget) else 1  # count mismatch
+        raise ParseError(f"bad recipe {recipe!r}: {exc}", line=line) from exc
     if len(family) != len(items):
         raise ParseError(f"recipe gives {len(family)} elements", line=len(lines))
     for (i, data), e in zip(items, family):
@@ -165,12 +172,20 @@ def records_from_json(text: str):
         records = [record_from_json(d) for d in items]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad record: {exc!r}") from exc
-    seen = set()
+    seen, settings = set(), {}
     for r in records:
         key = (r.setting_id, r.outcome)
         if key in seen:
             raise ParseError(f"duplicate record {r.setting_id}/{r.outcome}")
         seen.add(key)
+        settings.setdefault(r.setting_id, []).append(r)
+    for sid, rs in settings.items():
+        if len({r.shots_total for r in rs}) > 1:
+            raise ParseError(f"setting {sid}: records disagree on shots_total")
+        shots = rs[0].shots_total
+        total = sum(r.count if shots else r.probability for r in rs)
+        if abs(total - (shots or 1)) > (0 if shots else NEGATIVITY_TOL):
+            raise ParseError(f"setting {sid}: outcomes sum to {total!r}, not {shots or 1}")
     return records
 
 

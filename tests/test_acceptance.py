@@ -7,33 +7,23 @@ import time
 import numpy as np
 import pytest
 
-from proctomo import cli, op_basis, tomography
+from proctomo import cli, tomography
 from proctomo.choi_link import CombDirection, validate_comb
 from proctomo.errors import OutsideSpan
 from proctomo.op_basis import (
     Normalization,
     clifford_design_qubit,
-    design_twirl2,
-    haar_state,
-    haar_twirl2,
     kpq_operator,
     moment_matrix,
-    span_bound_reports,
     weyl_basis,
 )
 from proctomo.probe_factory import (
-    KET0,
     THETA_GRID,
-    AncillaProbeSetting,
-    BlockUnitarySpec,
-    ancilla_superinstrument,
-    block_unitary,
     measure_prepare_family,
     operator_schmidt_rank,
+    phase_filter,
     qubit16_family,
-    measure_prepare_instrument,
     weyl_isolated_term,
-    weyl_lab_unitaries,
     unitary_only_family,
 )
 from proctomo.process_sim import (
@@ -47,12 +37,19 @@ from proctomo.tensor_core import LabeledOperator, tensor
 from conftest import random_hermitian
 
 
+def verify_check(name, **overrides):
+    """One check of the `proctomo verify` registry, as the CLI runs it."""
+    passed, detail = cli.run_check(name, cli.load_config(None, overrides))
+    assert passed, f"{name}: {detail}"
+    return detail
+
+
 def test_c01_span_dimensions(announce):
     t0 = time.monotonic()
     results = {}
     for d, expected in ((2, (10, 13, 16)), (3, (65, 73, 81))):
-        report = span_bound_reports(d, tol=1e-8)
-        results[d] = tuple(r.measured for r in report.rows)
+        detail = verify_check("span_formulas", dim=d)
+        results[d] = (detail["unitary"], detail["cptp"], detail["measure_prepare"])
         assert results[d] == expected, f"d={d}: measured {results[d]}, expected {expected}"
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -71,16 +68,10 @@ def test_c02_qubit16_counts(qubit16, announce):
 
 
 def test_c03_measure_prepare_choi(announce):
-    rng = np.random.default_rng(301)
-    worst = 0.0
-    for _ in range(20):
-        a, psi = haar_state(2, rng), haar_state(2, rng)
-        e0, _ = measure_prepare_instrument(a, psi)
-        target = np.kron(np.outer(a, a.conj()).T, np.outer(psi, psi.conj()))
-        worst = max(worst, float(np.linalg.norm(e0.choi.mat - target)))
-    assert worst <= 1e-10
-    announce(f"ACCEPTANCE 3 PASS: 20 random measure-prepare circuits, "
-             f"max Frobenius deviation {worst:.2e}")
+    detail = verify_check("measure_prepare_choi")
+    assert detail["circuits"] >= 20 and detail["max_frobenius"] <= 1e-10
+    announce(f"ACCEPTANCE 3 PASS: {detail['circuits']} random measure-prepare circuits, "
+             f"max Frobenius deviation {detail['max_frobenius']:.2e}")
 
 
 def test_c04_weyl_family_two_labs(weyl_n2, announce):
@@ -103,20 +94,17 @@ def test_c04_weyl_family_two_labs(weyl_n2, announce):
         worst_comb = max(worst_comb, rep.max_violation)
         assert rep.passed, f"setting {sid} violates tester comb by {rep.max_violation:.2e}"
 
-    # phase filter vs tensor oracle on every Weyl index block
-    grouped = {}
-    for e in fam:
-        if e.outcome != "0":
-            continue
-        key = tuple(tuple(p) for p in e.meta["pairs"])
-        grouped.setdefault(key, {})[e.meta["thetas"][0]] = e.choi
-    assert len(grouped) == 256
-    worst_filter = 0.0
-    from proctomo.probe_factory import phase_filter
-    for pairs, values in grouped.items():
-        filt = phase_filter(values)
-        oracle = weyl_isolated_term(2, list(pairs))
-        worst_filter = max(worst_filter, float(np.max(np.abs(filt.mat - oracle.mat))))
+    # phase filter vs tensor oracle on every Weyl index block: the outcome-0
+    # elements run over 256 index tuples, then over the theta grid
+    zeros = [e for e in fam if e.outcome == "0"]
+    pairs = [e.meta["pairs"] for e in zeros[::4]]
+    assert len({str(p) for p in pairs}) == 256
+    assert [e.meta["pairs"] for e in zeros] == [p for p in pairs for _ in THETA_GRID]
+    assert [e.meta["thetas"] for e in zeros] == [[t] for t in THETA_GRID] * 256
+    chois = np.stack([e.choi.mat for e in zeros]).reshape(256, 4, 16, 16)
+    filtered = phase_filter(chois.transpose(1, 0, 2, 3))
+    worst_filter = max(float(np.max(np.abs(block - weyl_isolated_term(2, p).mat)))
+                       for block, p in zip(filtered, pairs))
     assert worst_filter <= 1e-10
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
@@ -126,34 +114,12 @@ def test_c04_weyl_family_two_labs(weyl_n2, announce):
 
 def test_c05_three_lab_isolation(announce):
     t0 = time.monotonic()
-    rng = np.random.default_rng(505)
-    n_settings = 256
-    chosen = rng.choice((4 * 4) ** 3, size=n_settings, replace=False)
-    worst = 0.0
-    for s_idx in chosen:
-        idx = int(s_idx)
-        pairs = []
-        for _ in range(3):
-            idx, rem = divmod(idx, 16)
-            pairs.append((rem // 4, rem % 4))
-        pairs = list(reversed(pairs))
-        us = weyl_lab_unitaries(2, pairs)
-        grid = {}
-        for t1 in THETA_GRID:
-            for t2 in THETA_GRID:
-                st = AncillaProbeSetting(KET0, tuple(us), (t1, t2), outcome=0)
-                grid[(t1, t2)] = ancilla_superinstrument(st).choi
-        from proctomo.probe_factory import phase_filter
-        stage = {t2: phase_filter({t1: grid[(t1, t2)] for t1 in THETA_GRID})
-                 for t2 in THETA_GRID}
-        iso = phase_filter(stage)
-        oracle = weyl_isolated_term(2, pairs)
-        worst = max(worst, float(np.max(np.abs(iso.mat - oracle.mat))))
-    assert worst <= 1e-9
+    detail = verify_check("phase_filter_isolation", labs=3)
+    assert detail["settings"] >= 256 and detail["max_delta"] <= 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
-    announce(f"ACCEPTANCE 5 PASS: 256 three-lab settings, nested-filter deviation "
-             f"{worst:.2e} ({elapsed:.0f} s)")
+    announce(f"ACCEPTANCE 5 PASS: {detail['settings']} three-lab settings, nested-filter "
+             f"deviation {detail['max_delta']:.2e} ({elapsed:.0f} s)")
 
 
 def test_c06_two_design_identities(announce):
@@ -175,13 +141,9 @@ def test_c06_two_design_identities(announce):
             target = np.kron(basis.matrix(p).T, basis.matrix(q))
             worst_k = max(worst_k, float(np.max(np.abs(k.mat - target))))
     assert worst_k <= 1e-10
-    rng = np.random.default_rng(606)
-    worst_t = 0.0
-    for _ in range(20):
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        worst_t = max(worst_t, float(np.max(np.abs(
-            haar_twirl2(x) - design_twirl2(x, design)))))
-    assert worst_t <= 1e-10
+    twirl = verify_check("clifford_twirl")
+    worst_t = twirl["max_delta"]
+    assert twirl["samples"] >= 20 and worst_t <= 1e-10
     announce(f"ACCEPTANCE 6 PASS: moment matrix dev {worst_m:.1e}, "
              f"K_pq dev {worst_k:.1e}, twirl dev {worst_t:.1e}")
 
@@ -216,21 +178,9 @@ def test_c07_end_to_end_tomography(qubit16, qubit16_bundle, weyl_n2, announce):
 
 
 def test_c08_schmidt_rank_bounds(announce):
-    rng = np.random.default_rng(808)
-    worst = 0
-    for n_labs in (2, 3):
-        for _ in range(10):
-            specs = [BlockUnitarySpec(rng.uniform(0, 1) * op_basis.haar_unitary(2, rng),
-                                      op_basis.haar_unitary(2, rng),
-                                      op_basis.haar_unitary(2, rng))
-                     for _ in range(n_labs)]
-            us = tuple(block_unitary(s) for s in specs)
-            st = AncillaProbeSetting(KET0, us,
-                                     tuple(rng.uniform(-np.pi, np.pi, n_labs - 1)),
-                                     outcome=int(rng.integers(0, 2)))
-            e = ancilla_superinstrument(st)
-            for k in range(1, n_labs):
-                worst = max(worst, operator_schmidt_rank(e, set(range(1, k + 1))))
+    details = [verify_check("schmidt_bound", labs=n_labs) for n_labs in (2, 3)]
+    assert all(d["probes"] >= 10 for d in details)
+    worst = max(d["max_rank"] for d in details)
     assert worst <= 4
     # product probes have rank exactly 1 across every cut
     q16 = qubit16_family()

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from proctomo.cli import load_config, main
+from proctomo import probe_factory
+from proctomo.cli import CHECKS, load_config, main, run_check
 from proctomo.errors import ConfigError
 
 ARTIFACTS = ("meta.json", "w_true.json", "family.jsonl", "records.json", "records.csv")
@@ -193,6 +194,40 @@ def test_verify_passes(tmp_path):
     assert run(["verify", "--labs", 2, "--out", out]) == 0
     data = json.loads((out / "verify.json").read_text())
     assert data["passed"]
-    assert {c["check"] for c in data["checks"]} >= {
+    assert [c["check"] for c in data["checks"]] == [
         "span_formulas", "clifford_twirl", "measure_prepare_choi",
-        "phase_filter_isolation", "preset_comb", "schmidt_bound", "qubit16_frame"}
+        "phase_filter_isolation", "preset_comb", "schmidt_bound", "qubit16_frame"]
+
+
+def test_verify_checks_do_not_depend_on_order():
+    cfg = load_config(None, {"labs": 2})
+    first = {name: run_check(name, cfg) for name in CHECKS}
+    for name in reversed(CHECKS):
+        assert run_check(name, cfg) == run_check(name, cfg) == first[name], name
+
+
+def test_reconstruct_recipe_cap_above_file_builds_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    header = {"type": "probe_family", "provenance": "WeylAncilla", "count": 1,
+              "recipe": {"n_labs": 1, "d": 7, "element_cap": 10 ** 9}}
+    (out / "family.jsonl").write_text(json.dumps(header) + "\n"
+                                      + json.dumps({"setting": "x", "outcome": "0"}) + "\n")
+    monkeypatch.setattr(probe_factory, "ancilla_superinstrument",
+                        lambda *args: pytest.fail("a probe was built"))
+    start = time.perf_counter()
+    assert run(["reconstruct", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("shots, change", [
+    (50, {"shots_total": 10, "count": 0}), (50, {"count": 0}), (0, {"probability": 0.0}),
+], ids=["shots_total", "count_sum", "probability_sum"])
+def test_reconstruct_inconsistent_setting_exits_2(tmp_path, capsys, shots, change):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--shots", shots, "--out", out]) == 0
+    records = json.loads((out / "records.json").read_text())
+    next(r for r in records if r["setting_id"] == "MP:X").update(change)
+    (out / "records.json").write_text(json.dumps(records))
+    assert run(["reconstruct", "--out", out]) == 2
+    assert "setting MP:X" in capsys.readouterr().err

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from proctomo import probe_factory
 from proctomo.choi_link import (
     CombDirection,
     choi_of_kraus,
@@ -280,57 +283,50 @@ def test_setting_validation():
         AncillaProbeSetting(KET0, (u, u), (0.1,), outcome=2)
 
 
+def theta_grid(us):
+    """Outcome-0 Chois of one setting over the theta grid of every link,
+    shaped (4,) * links + (side, side)."""
+    chois = np.stack([ancilla_superinstrument(AncillaProbeSetting(KET0, tuple(us), t)).choi.mat
+                      for t in itertools.product(THETA_GRID, repeat=len(us) - 1)])
+    return chois.reshape((4,) * (len(us) - 1) + chois.shape[1:])
+
+
 def test_phase_filter_scalar_fourier(rng):
-    labels = (SpaceLabel(1, Role.INPUT, 2), SpaceLabel(1, Role.OUTPUT, 2))
     comps = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
-    values = {}
-    for theta in THETA_GRID:
-        mat = comps[0] * np.exp(-1j * theta) + comps[1] + comps[2] * np.exp(1j * theta)
-        values[theta] = LabeledOperator(labels, mat)
-    out = phase_filter(values)
-    assert np.max(np.abs(out.mat - comps[2])) < 1e-12
+    samples = np.stack([comps[0] * np.exp(-1j * theta) + comps[1] + comps[2] * np.exp(1j * theta)
+                        for theta in THETA_GRID])
+    assert np.max(np.abs(phase_filter(samples) - comps[2])) < 1e-12
+    probabilities = 0.5 + 0.2 * np.cos(np.array(THETA_GRID) - 0.3)
+    assert abs(phase_filter(probabilities) - 0.1 * np.exp(-0.3j)) < 1e-15
 
 
 def test_phase_filter_missing_sample(rng):
-    labels = (SpaceLabel(1, Role.INPUT, 2),)
-    values = {0.0: LabeledOperator(labels, np.eye(2))}
     with pytest.raises(MissingSample):
-        phase_filter(values)
+        phase_filter(np.eye(2)[None])
+    with pytest.raises(MissingSample):
+        phase_filter(np.zeros((4, 3, 2, 2)), links=2)
 
 
 def test_phase_filter_two_lab_weyl_blocks(rng):
     for mu, nu, mup, nup in [(1, 2, 3, 0), (0, 0, 1, 1), (2, 3, 2, 1)]:
         pairs = [(mu, nu), (mup, nup)]
-        us = weyl_lab_unitaries(2, pairs)
-        values = {}
-        for theta in THETA_GRID:
-            st = AncillaProbeSetting(KET0, tuple(us), (theta,), outcome=0)
-            values[theta] = ancilla_superinstrument(st).choi
-        filt = phase_filter(values)
+        filt = phase_filter(theta_grid(weyl_lab_unitaries(2, pairs)))
         oracle = weyl_isolated_term(2, pairs)
-        assert np.max(np.abs(filt.mat - oracle.mat)) < 1e-10
+        assert np.max(np.abs(filt - oracle.mat)) < 1e-10
         # and against the rank-one Weyl form directly
         basis = weyl_basis(2, Normalization.WEYL_UNITARY)
-        v1 = vec_matrix(basis.matrix(mu)) / np.sqrt(2)
-        w1 = vec_matrix(basis.matrix(nu)) / np.sqrt(2)
-        v2 = vec_matrix(basis.matrix(mup)) / np.sqrt(2)
-        w2 = vec_matrix(basis.matrix(nup)) / np.sqrt(2)
+        v1, w1, v2, w2 = (vec_matrix(basis.matrix(k)) / np.sqrt(2) for k in (mu, nu, mup, nup))
         direct = np.kron(np.outer(v1, w1.conj()), np.outer(v2, w2.conj()))
-        assert np.max(np.abs(filt.mat - direct)) < 1e-10
+        assert np.max(np.abs(filt - direct)) < 1e-10
 
 
 def test_phase_filter_output_in_sample_span(rng):
-    pairs = [(1, 1), (2, 0)]
-    us = weyl_lab_unitaries(2, pairs)
-    values = {}
-    for theta in THETA_GRID:
-        st = AncillaProbeSetting(KET0, tuple(us), (theta,), outcome=0)
-        values[theta] = ancilla_superinstrument(st).choi
-    filt = phase_filter(values)
-    stack = np.stack([v.mat.reshape(-1) for v in values.values()])
-    coeff, residual, *_ = np.linalg.lstsq(stack.T, filt.mat.reshape(-1), rcond=None)
+    samples = theta_grid(weyl_lab_unitaries(2, [(1, 1), (2, 0)]))
+    filt = phase_filter(samples)
+    stack = samples.reshape(4, -1)
+    coeff, residual, *_ = np.linalg.lstsq(stack.T, filt.reshape(-1), rcond=None)
     recon = stack.T @ coeff
-    assert np.linalg.norm(recon - filt.mat.reshape(-1)) < 1e-12
+    assert np.linalg.norm(recon - filt.reshape(-1)) < 1e-12
 
 
 def test_middle_lab_block_is_weyl_product(rng):
@@ -346,17 +342,9 @@ def test_middle_lab_block_is_weyl_product(rng):
 def test_nested_filters_three_labs(rng):
     for _ in range(5):
         pairs = [tuple(int(x) for x in rng.integers(0, 4, 2)) for _ in range(3)]
-        us = weyl_lab_unitaries(2, pairs)
-        grid = {}
-        for t1 in THETA_GRID:
-            for t2 in THETA_GRID:
-                st = AncillaProbeSetting(KET0, tuple(us), (t1, t2), outcome=0)
-                grid[(t1, t2)] = ancilla_superinstrument(st).choi
-        stage = {t2: phase_filter({t1: grid[(t1, t2)] for t1 in THETA_GRID})
-                 for t2 in THETA_GRID}
-        iso = phase_filter(stage)
+        iso = phase_filter(theta_grid(weyl_lab_unitaries(2, pairs)), links=2)
         oracle = weyl_isolated_term(2, pairs)
-        assert np.max(np.abs(iso.mat - oracle.mat)) < 1e-9
+        assert np.max(np.abs(iso - oracle.mat)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +381,13 @@ def test_single_lab_budget_checked_before_building():
     with pytest.raises(OutOfBudget):
         measure_prepare_family(5, element_cap=10)
     assert len(measure_prepare_family(2, element_cap=32)) == 32
+
+
+def test_subsample_budget_checked_before_building(monkeypatch):
+    assert len(weyl_ancilla_family(3, 2, subsample_settings=1, element_cap=32)) == 32
+    monkeypatch.setattr(probe_factory, "block_unitary", lambda *args: pytest.fail("unitary built"))
+    with pytest.raises(OutOfBudget):
+        weyl_ancilla_family(3, 2, subsample_settings=1, element_cap=31)
 
 
 def test_single_lab_subsample_is_honoured():
