@@ -203,7 +203,8 @@ def _span_formulas(cfg: RunConfig, rng):
     return report.all_match, {r.family: r.measured for r in report.rows}
 
 
-def _clifford_twirl(cfg: RunConfig, rng, samples: int = 20):
+def _clifford_twirl(cfg: RunConfig, rng):
+    samples = 20
     design = op_basis.clifford_design_qubit()
     xs = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(samples)]
     worst = max(float(np.max(np.abs(op_basis.haar_twirl2(x) - op_basis.design_twirl2(x, design))))
@@ -211,8 +212,8 @@ def _clifford_twirl(cfg: RunConfig, rng, samples: int = 20):
     return worst <= 1e-10, {"samples": samples, "max_delta": worst}
 
 
-def _measure_prepare_choi(cfg: RunConfig, rng, circuits: int = 20):
-    worst = 0.0
+def _measure_prepare_choi(cfg: RunConfig, rng):
+    circuits, worst = 20, 0.0
     for _ in range(circuits):
         a, psi = op_basis.haar_state(2, rng), op_basis.haar_state(2, rng)
         e0, _ = probe_factory.measure_prepare_instrument(a, psi)
@@ -221,10 +222,10 @@ def _measure_prepare_choi(cfg: RunConfig, rng, circuits: int = 20):
     return worst <= 1e-10, {"circuits": circuits, "max_frobenius": worst}
 
 
-def _phase_filter_isolation(cfg: RunConfig, rng, settings: int = 256):
+def _phase_filter_isolation(cfg: RunConfig, rng):
     """Distinct qubit Weyl settings at N = clamp(labs, 2, 3), each filtered over
     its outcome-0 theta grid, against the isolated tensor term."""
-    n = max(2, min(cfg.labs, 3))
+    n, settings = max(2, min(cfg.labs, 3)), 256
     grid = list(itertools.product(probe_factory.THETA_GRID, repeat=n - 1))
     worst = 0.0
     for index in rng.choice(16 ** n, size=settings, replace=False):
@@ -245,10 +246,9 @@ def _preset_comb(cfg: RunConfig, rng):
     return all(r.passed for r in reports), {"max_violation": max(r.max_violation for r in reports)}
 
 
-def _schmidt_bound(cfg: RunConfig, rng, probes: int = 10):
+def _schmidt_bound(cfg: RunConfig, rng):
     """Bond of random block-unitary ancilla probes at every cut of max(2, labs) labs."""
-    n = max(2, cfg.labs)
-    worst = 0
+    n, probes, worst = max(2, cfg.labs), 10, 0
     for _ in range(probes):
         us = tuple(probe_factory.block_unitary(probe_factory.BlockUnitarySpec(
             rng.uniform(0, 1) * op_basis.haar_unitary(2, rng), op_basis.haar_unitary(2, rng),
