@@ -180,13 +180,13 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     payload = report.as_dict()
     payload["w_est"] = serialize.operator_to_json(report.w_est)
     _write_json(os.path.join(cfg.out, "report.json"), payload)
-    line = (f"reconstruct: rank {report.frame_rank}, "
+    line = (f"reconstruct: rank {report.frame_rank} / {bundle.dim}, "
             f"psd_violation {report.psd_violation:.3e}, "
             f"comb_violation {report.comb_violation:.3e}")
     if report.metrics:
         line += f", frobenius_error {report.metrics['frobenius_error']:.3e}"
-    print(line)
-    return 0
+    print(line if report.complete else f"{line}; the frame is not informationally complete")
+    return 0 if report.complete else 1
 
 
 def cmd_export_circuits(cfg: RunConfig) -> int:
@@ -232,7 +232,7 @@ def _phase_filter_isolation(cfg: RunConfig, rng):
         pairs = probe_factory._decode_setting(int(index), n, 2)
         us = tuple(probe_factory.weyl_lab_unitaries(2, pairs))
         chois = np.stack([probe_factory.ancilla_superinstrument(probe_factory.AncillaProbeSetting(
-            probe_factory.KET0, us, thetas)).choi.mat for thetas in grid])
+            probe_factory.KET0, us, thetas))[0].mat for thetas in grid])
         iso = probe_factory.phase_filter(chois.reshape((4,) * (n - 1) + chois.shape[1:]), n - 1)
         iso -= probe_factory.weyl_isolated_term(2, pairs).mat
         worst = max(worst, float(np.max(np.abs(iso))))
@@ -254,8 +254,8 @@ def _schmidt_bound(cfg: RunConfig, rng):
             rng.uniform(0, 1) * op_basis.haar_unitary(2, rng), op_basis.haar_unitary(2, rng),
             op_basis.haar_unitary(2, rng))) for _ in range(n))
         e = probe_factory.ancilla_superinstrument(probe_factory.AncillaProbeSetting(
-            probe_factory.KET0, us, tuple(rng.uniform(-np.pi, np.pi, n - 1)),
-            outcome=int(rng.integers(0, 2))))
+            probe_factory.KET0, us,
+            tuple(rng.uniform(-np.pi, np.pi, n - 1))))[int(rng.integers(0, 2))]  # random outcome
         worst = max([worst] + [probe_factory.operator_schmidt_rank(e, set(range(1, k + 1)))
                                for k in range(1, n)])
     return worst <= 4, {"probes": probes, "max_rank": worst}

@@ -113,6 +113,10 @@ class MissingData(ProctomoError):
     """Experiment records do not cover every family element."""
 
 
+class UnexpectedRecord(ProctomoError):
+    """An experiment record names no element of the family."""
+
+
 class OutsideSpan(ProctomoError):
     """Observable lies outside the span of the probe family."""
 

@@ -2,6 +2,7 @@
 analytic Haar second-moment twirl, and span-dimension measurements."""
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ def clock_matrix(d: int) -> np.ndarray:
     return np.diag(omega ** np.arange(d))
 
 
+@functools.cache
 def weyl_basis(d: int, normalization: Normalization = Normalization.WEYL_UNITARY) -> WeylBasis:
-    """Basis sigma_(a,b) = X^a Z^b indexed mu = a*d + b; sigma_0 = identity."""
+    """Basis sigma_(a,b) = X^a Z^b indexed mu = a*d + b; sigma_0 = identity.
+    Cached: its matrices are read-only."""
     x, z = shift_matrix(d), clock_matrix(d)
     scale = 1.0 if normalization is Normalization.WEYL_UNITARY else 1.0 / np.sqrt(d)
     label = _abstract_labels(d)

@@ -9,9 +9,10 @@ the end; phase gates on the ancilla sit between consecutive labs.
 """
 
 import enum
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class ProbeElement:
     outcome: str
     choi: LabeledOperator
     meta: dict = field(default_factory=dict)
-    circuit: "AncillaProbeSetting | None" = None  # the circuit the Choi was built from
+    circuit: "AncillaProbeSetting | None" = None  # built from; shared by the setting's outcomes
 
     @property
     def record_key(self) -> tuple[str, str]:
@@ -202,10 +203,9 @@ def measure_prepare_instrument(a_effect, psi_prep, lab: int = 1,
             raise NotNormalized(f"{name} has norm {np.linalg.norm(s):.6f}")
     if setting_id is None:
         setting_id = f"mp(a={np.round(a, 6)},psi={np.round(psi, 6)})"
-    u_sa = (measure_prepare_joint_unitary(a, psi),)
-    return tuple(_circuit_probe(setting_id, str(m), {"kind": "measure_prepare_circuit",
-                                                     "outcome": m}, u_sa, m=m, lab=lab)
-                 for m in (0, 1))
+    return tuple(_circuit_probes(setting_id, [(str(m), {"kind": "measure_prepare_circuit",
+                                                        "outcome": m}) for m in (0, 1)],
+                                 (measure_prepare_joint_unitary(a, psi),), lab=lab))
 
 
 def _rotation(axis: np.ndarray, theta: float) -> np.ndarray:
@@ -238,9 +238,9 @@ _PAULI_EIGENVECTORS = {
 def unitary_only_family(lab: int = 1) -> ProbeFamily:
     """The ten deterministic single-qubit probes as one-outcome settings: the
     circuit applies U to the system and leaves the ancilla in |0>."""
-    elems = [_circuit_probe(f"U:{name}", "0", {"kind": "unitary", "name": name},
-                            (np.kron(u, PAULI_I),), lab=lab)
-             for name, u in QUBIT16_UNITARIES]
+    elems = [e for name, u in QUBIT16_UNITARIES
+             for e in _circuit_probes(f"U:{name}", [("0", {"kind": "unitary", "name": name})],
+                                      (np.kron(u, PAULI_I),), lab=lab)]
     return ProbeFamily(tuple(elems), Provenance.UNITARY_ONLY, {"lab": lab})
 
 
@@ -258,10 +258,9 @@ def qubit16_family(lab: int = 1) -> ProbeFamily:
     for basis_name, (plus, minus) in _PAULI_EIGENVECTORS.items():
         w = np.stack([plus, minus], axis=1)
         u = (np.kron(PAULI_I, w.conj().T) @ swap @ np.kron(PAULI_I, w),)
-        for m, sign in enumerate("+-"):
-            elems.append(_circuit_probe(f"MP:{basis_name}", sign,
-                                        {"kind": "measure_prepare", "basis": basis_name,
-                                         "outcome": sign}, u, m=m, lab=lab))
+        elems += _circuit_probes(f"MP:{basis_name}", [(sign, {
+            "kind": "measure_prepare", "basis": basis_name, "outcome": sign}) for sign in "+-"],
+            u, lab=lab)
     return ProbeFamily(tuple(elems), Provenance.QUBIT16, {"lab": lab})
 
 
@@ -303,10 +302,11 @@ KET0 = np.array([1, 0], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class AncillaProbeSetting:
+    """One qubit-ancilla circuit: ancilla state psi, a joint system (x) ancilla
+    unitary per lab and the phases between labs; its Z readout gives outcomes 0, 1."""
     psi: np.ndarray
     lab_unitaries: tuple[np.ndarray, ...]
     thetas: tuple[float, ...]
-    outcome: int = 0
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=np.complex128)
@@ -321,8 +321,6 @@ class AncillaProbeSetting:
             raise InvalidSetting("lab unitaries must be unitary on one system (x) qubit space")
         if len(self.thetas) != len(us) - 1:
             raise InvalidSetting(f"need {len(us) - 1} phases, got {len(self.thetas)}")
-        if self.outcome not in (0, 1):
-            raise InvalidSetting("ancilla outcome must be 0 or 1")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "lab_unitaries", us)
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
@@ -340,13 +338,13 @@ def phase_gate(theta: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
 
 
-def ancilla_superinstrument(setting: AncillaProbeSetting, first_lab: int = 1) -> ProbeElement:
-    """Multi-lab probe Choi |tau><tau| on (I1, O1, ..., IN, ON), with the labs
-    numbered from first_lab. The ancilla state, phase-modified joint unitaries
-    and final projector are pure, so their link product is the projector onto
-    the contraction of their Choi vectors over the ancilla wires:
-    tau = <m| vec(U_N) ... vec(P U_1) |psi>. The element keeps the setting as
-    its circuit."""
+def ancilla_superinstrument(setting: AncillaProbeSetting,
+                            first_lab: int = 1) -> tuple[LabeledOperator, LabeledOperator]:
+    """Probe Chois |tau_m><tau_m| of the ancilla outcomes m = 0, 1 on
+    (I1, O1, ..., IN, ON), labs numbered from first_lab, from one contraction.
+    The ancilla state, phase-modified joint unitaries and projector |m><m| are
+    pure, so their link product is the projector onto the contraction of their
+    Choi vectors over the ancilla wires: tau_m = <m| vec(U_N) ... vec(P U_1) |psi>."""
     n, d = setting.n_labs, setting.d_sys
     tau = setting.psi.reshape(1, 2)  # axes: (I1, O1, ..., It, Ot), ancilla
     for t, u in enumerate(setting.lab_unitaries, start=1):
@@ -354,19 +352,18 @@ def ancilla_superinstrument(setting: AncillaProbeSetting, first_lab: int = 1) ->
         if t < n:
             v = v * phase_gate(setting.thetas[t - 1]).diagonal()  # vec((I (x) P) U)
         tau = np.einsum("xa,iaob->xiob", tau, v).reshape(-1, 2)
-    m = setting.outcome
-    tau = tau[:, m]
     labels = tuple(l for t in range(first_lab, first_lab + n) for l in lab_labels(t, d))
-    return ProbeElement(f"anc(n={n},m={m})", str(m),
-                        LabeledOperator(labels, np.outer(tau, tau.conj())),
-                        meta={"thetas": list(setting.thetas), "outcome": m}, circuit=setting)
+    return tuple(LabeledOperator(labels, np.outer(tau[:, m], tau[:, m].conj())) for m in (0, 1))
 
 
-def _circuit_probe(setting_id: str, outcome: str, meta: dict, lab_unitaries, thetas=(),
-                   m: int = 0, lab: int = 1) -> ProbeElement:
-    """The family element of the circuit |0> -> lab unitaries -> Z outcome m."""
-    probe = ancilla_superinstrument(AncillaProbeSetting(KET0, lab_unitaries, thetas, m), lab)
-    return replace(probe, setting_id=setting_id, outcome=outcome, meta=meta)
+def _circuit_probes(setting_id: str, outcomes, lab_unitaries, thetas=(),
+                    lab: int = 1) -> list[ProbeElement]:
+    """The family elements of the circuit |0> -> lab unitaries -> Z readout;
+    outcomes[m] = (label, meta) names ancilla outcome m, and outcomes not
+    listed are dropped. Every element holds the one circuit."""
+    circuit = AncillaProbeSetting(KET0, lab_unitaries, thetas)
+    return [ProbeElement(setting_id, label, choi, meta, circuit)
+            for (label, meta), choi in zip(outcomes, ancilla_superinstrument(circuit, lab))]
 
 
 def phase_filter(samples, links: int = 1) -> np.ndarray:
@@ -477,10 +474,8 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
 
     if n_labs == 1:
         states = op_basis.tomography_state_vectors(d)
-    else:  # a lab unitary depends only on its position and its (mu, nu) pair
-        positions = {_position(t, n_labs) for t in range(1, n_labs + 1)}
-        lab_unitaries = {key: block_unitary(weyl_block_spec(d, *key)) for key in
-                         itertools.product(positions, range(d * d), range(d * d))}
+    else:  # a lab unitary depends only on its position and (mu, nu): build each once, on use
+        lab_unitary = functools.cache(lambda *key: block_unitary(weyl_block_spec(d, *key)))
     theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
     elems = []
     for s_idx in chosen:
@@ -489,16 +484,17 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
             us = (measure_prepare_joint_unitary(states[effect], states[prep]),)
         else:
             pairs = _decode_setting(s_idx, n_labs, d)
-            us = tuple(lab_unitaries[(_position(t, n_labs), mu, nu)]
+            us = tuple(lab_unitary(_position(t, n_labs), mu, nu)
                        for t, (mu, nu) in enumerate(pairs, start=1))
         for t_idx, thetas in enumerate(theta_combos):
-            for m in (0, 1):
-                if n_labs == 1:
-                    sid, meta = f"wa:s{s_idx}", {"effect": effect, "prep": prep}
-                else:
-                    sid, meta = f"wa:s{s_idx}:th{t_idx}", {
-                        "pairs": [list(p) for p in pairs], "thetas": list(thetas), "outcome": m}
-                elems.append(_circuit_probe(sid, str(m), meta, us, thetas, m=m))
+            if n_labs == 1:
+                sid, outcomes = f"wa:s{s_idx}", [
+                    (str(m), {"effect": effect, "prep": prep}) for m in (0, 1)]
+            else:
+                sid, outcomes = f"wa:s{s_idx}:th{t_idx}", [(str(m), {
+                    "pairs": [list(p) for p in pairs], "thetas": list(thetas), "outcome": m})
+                    for m in (0, 1)]
+            elems += _circuit_probes(sid, outcomes, us, thetas)
     return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
 
 

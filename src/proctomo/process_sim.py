@@ -11,7 +11,7 @@ address.
 
 import functools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +163,6 @@ class ProcessMatrix:
     d_sys: int
     interior: bool = False
     comb_report: CombReport | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def mat(self) -> np.ndarray:
@@ -202,8 +201,7 @@ def build_process(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> ProcessMatrix:
         raise InvalidSpec(
             f"constructed process fails comb validation "
             f"(max violation {report.max_violation:.3e})")
-    return ProcessMatrix(w, n_labs=n, d_sys=d, interior=False, comb_report=report,
-                         meta={"name": spec.name, "seed": spec.seed})
+    return ProcessMatrix(w, n_labs=n, d_sys=d, interior=False, comb_report=report)
 
 
 def interior_only(w: ProcessMatrix, prep: np.ndarray | None = None,
@@ -224,10 +222,7 @@ def interior_only(w: ProcessMatrix, prep: np.ndarray | None = None,
     contracted = partial_trace(contracted, [_sys_in(w.n_labs + 1, d)])
     out = canonicalize(contracted)
     report = validate_comb(out, direction=CombDirection.PROCESS, tol=tol)
-    meta = dict(w.meta)
-    meta["prep"] = [[float(x.real), float(x.imag)] for x in prep.reshape(-1)]
-    return ProcessMatrix(out, n_labs=w.n_labs, d_sys=d, interior=True,
-                         comb_report=report, meta=meta)
+    return ProcessMatrix(out, n_labs=w.n_labs, d_sys=d, interior=True, comb_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +284,10 @@ def sample_shots(w, family: ProbeFamily, shots: int,
     """
     probs = born_probabilities(w, family)
     by_setting: dict[str, list[tuple[ProbeElement, float]]] = {}
-    order: list[str] = []
     for e, p in zip(family, probs):
-        if e.setting_id not in by_setting:
-            order.append(e.setting_id)
         by_setting.setdefault(e.setting_id, []).append((e, p))
     records: dict[tuple[str, str], ExperimentRecord] = {}
-    for sid in order:
-        pairs = by_setting[sid]
+    for sid, pairs in by_setting.items():
         total = sum(p for _, p in pairs)
         if abs(total - 1.0) > NEGATIVITY_TOL:
             raise NotNormalizedSetting(

@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidSetting, OutOfBudget, ParseError, ProctomoError
-from .probe_factory import GENERATORS, ProbeElement, ProbeFamily, Provenance
+from .probe_factory import (GENERATORS, ProbeElement, ProbeFamily, Provenance,
+                            ancilla_superinstrument)
 from .process_sim import NEGATIVITY_TOL, ExperimentRecord
 from .tensor_core import LabeledOperator, Role, SpaceLabel
 
@@ -206,28 +207,23 @@ def records_to_csv(records) -> str:
 # Circuit manifests
 # ---------------------------------------------------------------------------
 
-def _same_circuit(a, b) -> bool:
-    """Whether two ancilla settings differ at most in their outcome."""
-    return (np.array_equal(a.psi, b.psi) and a.thetas == b.thetas
-            and len(a.lab_unitaries) == len(b.lab_unitaries)
-            and all(np.array_equal(u, v) for u, v in zip(a.lab_unitaries, b.lab_unitaries)))
-
-
 def family_manifests(family: ProbeFamily) -> list[dict]:
-    """One circuit per setting, read from the circuits its elements were built
-    from: ancilla state, joint system (x) ancilla lab unitaries, the phase gate
+    """One manifest per setting, read from the one circuit its elements hold:
+    ancilla state, joint system (x) ancilla lab unitaries, the phase gate
     angles between labs, and the final Z measurement of the ancilla, whose
-    outcome m is the setting's m-th outcome. Native-gate decomposition is not
-    done."""
+    outcome m is the setting's m-th outcome, as rebuilding the setting's Chois
+    from the circuit confirms. Native-gate decomposition is not done."""
     manifests = []
     for sid, elems in family.settings().items():
-        first = elems[0].circuit
-        if not all(e.circuit is not None and e.circuit.outcome == m
-                   and _same_circuit(e.circuit, first) for m, e in enumerate(elems)):
+        circuit, first_lab = elems[0].circuit, elems[0].choi.labels[0].lab
+        chois = () if circuit is None else ancilla_superinstrument(circuit, first_lab)
+        if len(elems) > len(chois) or not all(
+                e.circuit is circuit and e.choi.labels == c.labels
+                and np.array_equal(e.choi.mat, c.mat) for e, c in zip(elems, chois)):
             raise InvalidSetting(f"setting {sid!r} is not the outcomes 0, 1, ... of one "
                                  f"qubit-ancilla circuit")
         manifests.append({"setting": sid, "outcomes": [e.outcome for e in elems],
-                          "ancilla_prep": [[float(x.real), float(x.imag)] for x in first.psi],
-                          "labs": [matrix_to_pairs(u) for u in first.lab_unitaries],
-                          "phase_gates": list(first.thetas), "measure": "Z on ancilla"})
+                          "ancilla_prep": [[float(x.real), float(x.imag)] for x in circuit.psi],
+                          "labs": [matrix_to_pairs(u) for u in circuit.lab_unitaries],
+                          "phase_gates": list(circuit.thetas), "measure": "Z on ancilla"})
     return manifests

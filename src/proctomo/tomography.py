@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .choi_link import CombDirection, unvec_matrix, validate_comb, vec_matrix
-from .errors import DimMismatch, EmptyFamily, MissingData, NotIC, OutsideSpan
+from .errors import DimMismatch, EmptyFamily, MissingData, NotIC, OutsideSpan, UnexpectedRecord
 from .probe_factory import ProbeFamily
 from .process_sim import ExperimentRecord
 from .tensor_core import LabeledOperator, canonicalize, permute_systems, sqrt_psd
@@ -81,6 +81,10 @@ def _frequencies(bundle: FrameBundle, data) -> np.ndarray:
         if rec is None:
             raise MissingData(f"no record for element {e.record_key}")
         freqs[i] = rec.frequency()
+    if len(table) > len(freqs):  # every element found a record, so some record has no element
+        keys = {e.record_key for e in bundle.family}
+        raise UnexpectedRecord(f"record {next(k for k in table if k not in keys)} "
+                               f"is no element of the family")
     return freqs
 
 
@@ -93,6 +97,7 @@ class ReconstructionReport:
     comb_violation: float
     frame_rank: int
     condition_number: float
+    complete: bool
     projected: bool = False
     metrics: dict = field(default_factory=dict)
 
@@ -104,6 +109,7 @@ class ReconstructionReport:
             "comb_violation": self.comb_violation,
             "frame_rank": self.frame_rank,
             "condition_number": self.condition_number,
+            "complete": self.complete,
             "projected": self.projected,
             "metrics": dict(self.metrics),
         }
@@ -143,6 +149,7 @@ def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False,
         comb_violation=float(comb.max_violation),
         frame_rank=bundle.rank,
         condition_number=bundle.condition_number,
+        complete=bundle.is_complete,
         projected=projected,
     )
 

@@ -53,6 +53,7 @@ def test_simulate_reconstruct_exact(tmp_path):
     assert run(["reconstruct", "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["frame_rank"] == 16
+    assert report["complete"] is True
     assert report["metrics"]["frobenius_error"] <= 1e-7
 
 
@@ -181,6 +182,24 @@ def test_reconstruct_duplicate_record_exits_2(tmp_path):
     out = tmp_path / "run"
     _edit_exact_records(out, lambda rs: rs.append({**rs[0], "probability": 0.9}))
     assert run(["reconstruct", "--out", out]) == 2
+
+
+def test_reconstruct_record_outside_family_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    _edit_exact_records(out, lambda rs: rs.append(
+        {"setting_id": "ZZZ", "outcome": "0", "probability": 1.0}))
+    assert run(["reconstruct", "--out", out]) == 2
+    assert "('ZZZ', '0')" in capsys.readouterr().err
+
+
+def test_reconstruct_incomplete_frame_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 2, "--dim", 2, "--subsample", 3, "--seed", 3,
+                "--out", out]) == 0
+    assert run(["reconstruct", "--out", out]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["complete"] is False and report["frame_rank"] < 256
+    assert f"rank {report['frame_rank']} / 256" in capsys.readouterr().out
 
 
 def test_reconstruct_probability_outside_unit_interval_exits_2(tmp_path):

@@ -155,11 +155,9 @@ def test_measure_prepare_matches_ancilla_superinstrument(rng):
     from proctomo.probe_factory import measure_prepare_joint_unitary
     a, psi = haar_state(2, rng), haar_state(2, rng)
     u = measure_prepare_joint_unitary(a, psi)
-    e0, e1 = measure_prepare_instrument(a, psi)
-    for m, e in ((0, e0), (1, e1)):
-        st = AncillaProbeSetting(KET0, (u,), (), outcome=m)
-        probe = ancilla_superinstrument(st)
-        assert np.max(np.abs(probe.choi.mat - e.choi.mat)) < 1e-12
+    chois = ancilla_superinstrument(AncillaProbeSetting(KET0, (u,), ()))
+    for choi, e in zip(chois, measure_prepare_instrument(a, psi), strict=True):
+        assert np.max(np.abs(choi.mat - e.choi.mat)) < 1e-12
 
 
 def test_qubit16_counts_and_span(qubit16):
@@ -226,14 +224,13 @@ def test_superinstrument_matches_double_sum(rng):
         u1 = block_unitary(random_block_spec(rng))
         u2 = block_unitary(random_block_spec(rng))
         theta = float(rng.uniform(-np.pi, np.pi))
-        for m in (0, 1):
-            st = AncillaProbeSetting(KET0, (u1, u2), (theta,), outcome=m)
-            probe = ancilla_superinstrument(st)
-            assert np.max(np.abs(probe.choi.mat - doublesum_oracle(u1, u2, theta, m))) < 1e-10
+        chois = ancilla_superinstrument(AncillaProbeSetting(KET0, (u1, u2), (theta,)))
+        for m, choi in enumerate(chois):
+            assert np.max(np.abs(choi.mat - doublesum_oracle(u1, u2, theta, m))) < 1e-10
 
 
-def link_chain_oracle(setting):
-    """The probe as N + 2 link products over labelled ancilla wires."""
+def link_chain_oracle(setting, m):
+    """The outcome-m probe as N + 2 link products over labelled ancilla wires."""
     n, d = setting.n_labs, setting.d_sys
     anc = [SpaceLabel(t, Role.ANCILLA, 2) for t in range(n + 1)]
     acc = LabeledOperator((anc[0],), np.outer(setting.psi, setting.psi.conj()))
@@ -243,7 +240,7 @@ def link_chain_oracle(setting):
         li, lo = lab_labels(t, d)
         acc = link_product(acc, choi_of_unitary(u, [li, anc[t - 1]], [lo, anc[t]]))
     proj = np.zeros((2, 2), dtype=np.complex128)
-    proj[setting.outcome, setting.outcome] = 1.0
+    proj[m, m] = 1.0
     return canonicalize(link_product(acc, LabeledOperator((anc[n],), proj)))
 
 
@@ -254,22 +251,19 @@ def test_superinstrument_matches_link_chain(rng, n_labs):
             psi = haar_state(2, rng)
             us = tuple(haar_unitary(2 * d, rng) for _ in range(n_labs))
             thetas = tuple(rng.uniform(-np.pi, np.pi, n_labs - 1))
-            for m in (0, 1):
-                st = AncillaProbeSetting(psi, us, thetas, outcome=m)
-                probe, oracle = ancilla_superinstrument(st).choi, link_chain_oracle(st)
+            st = AncillaProbeSetting(psi, us, thetas)
+            for m, probe in enumerate(ancilla_superinstrument(st)):
+                oracle = link_chain_oracle(st, m)
                 assert probe.labels == oracle.labels
                 assert np.max(np.abs(probe.mat - oracle.mat)) <= 1e-12
 
 
 def test_superinstrument_psd_and_tester(rng):
     us = tuple(block_unitary(random_block_spec(rng)) for _ in range(2))
-    elems = []
-    for m in (0, 1):
-        st = AncillaProbeSetting(KET0, us, (0.3,), outcome=m)
-        e = ancilla_superinstrument(st)
-        assert np.linalg.eigvalsh((e.choi.mat + e.choi.mat.conj().T) / 2)[0] >= -1e-10
-        elems.append(e)
-    total = LabeledOperator(elems[0].choi.labels, sum(e.choi.mat for e in elems))
+    chois = ancilla_superinstrument(AncillaProbeSetting(KET0, us, (0.3,)))
+    for choi in chois:
+        assert np.linalg.eigvalsh((choi.mat + choi.mat.conj().T) / 2)[0] >= -1e-10
+    total = LabeledOperator(chois[0].labels, sum(choi.mat for choi in chois))
     assert validate_comb(total, direction=CombDirection.TESTER).passed
 
 
@@ -279,14 +273,12 @@ def test_setting_validation():
         AncillaProbeSetting(np.array([1, 1]), (u,), ())
     with pytest.raises(InvalidSetting):
         AncillaProbeSetting(KET0, (u,), (0.1,))
-    with pytest.raises(InvalidSetting):
-        AncillaProbeSetting(KET0, (u, u), (0.1,), outcome=2)
 
 
 def theta_grid(us):
     """Outcome-0 Chois of one setting over the theta grid of every link,
     shaped (4,) * links + (side, side)."""
-    chois = np.stack([ancilla_superinstrument(AncillaProbeSetting(KET0, tuple(us), t)).choi.mat
+    chois = np.stack([ancilla_superinstrument(AncillaProbeSetting(KET0, tuple(us), t))[0].mat
                       for t in itertools.product(THETA_GRID, repeat=len(us) - 1)])
     return chois.reshape((4,) * (len(us) - 1) + chois.shape[1:])
 
@@ -390,6 +382,24 @@ def test_subsample_budget_checked_before_building(monkeypatch):
         weyl_ancilla_family(3, 2, subsample_settings=1, element_cap=31)
 
 
+def test_weyl_family_builds_one_circuit_per_setting(monkeypatch):
+    built = []
+    monkeypatch.setattr(probe_factory, "AncillaProbeSetting",
+                        lambda *args: built.append(AncillaProbeSetting(*args)) or built[-1])
+    fam = weyl_ancilla_family(2, 2)
+    assert len(built) == len(fam.settings()) == 1024 and len(fam) == 2048
+    for e0, e1 in fam.settings().values():
+        assert e0.circuit is e1.circuit
+
+
+def test_weyl_family_builds_only_the_lab_unitaries_it_uses(monkeypatch):
+    calls = []
+    monkeypatch.setattr(probe_factory, "block_unitary",
+                        lambda spec: calls.append(spec) or block_unitary(spec))
+    fam = weyl_ancilla_family(2, 3, subsample_settings=1)
+    assert len(fam) == 8 and len(calls) <= 2
+
+
 def test_single_lab_subsample_is_honoured():
     full = {e.record_key: e for e in weyl_ancilla_family(1, 2)}
     fam = weyl_ancilla_family(1, 2, subsample_settings=3, seed=4)
@@ -435,11 +445,14 @@ def test_circuit_chois_match_independent_references():
     lambda: weyl_ancilla_family(1, 3), lambda: weyl_ancilla_family(2, 2, subsample_settings=5),
 ])
 def test_generated_elements_keep_their_circuit(family):
-    for e in family():
-        assert e.circuit is not None and e.circuit.outcome == int(e.outcome in ("1", "-"))
-        rebuilt = ancilla_superinstrument(e.circuit, e.choi.labels[0].lab).choi
+    fam = family()
+    for e in fam:
+        m = int(e.outcome in ("1", "-"))
+        rebuilt = ancilla_superinstrument(e.circuit, e.choi.labels[0].lab)[m]
         assert rebuilt.labels == e.choi.labels
         assert np.array_equal(rebuilt.mat, e.choi.mat)
+    for elems in fam.settings().values():
+        assert all(e.circuit is elems[0].circuit for e in elems)
     assert all(e.circuit is None for e in measure_prepare_family(2))
 
 
@@ -460,8 +473,8 @@ def test_schmidt_rank_product_probe(rng, qubit16):
 def test_schmidt_rank_ancilla_probe_bounded(rng):
     for _ in range(5):
         us = tuple(block_unitary(random_block_spec(rng)) for _ in range(3))
-        st = AncillaProbeSetting(KET0, us, tuple(rng.uniform(-np.pi, np.pi, 2)), outcome=0)
-        e = ancilla_superinstrument(st)
+        st = AncillaProbeSetting(KET0, us, tuple(rng.uniform(-np.pi, np.pi, 2)))
+        e = ancilla_superinstrument(st)[0]
         assert operator_schmidt_rank(e, {1}) <= 4
         assert operator_schmidt_rank(e, {1, 2}) <= 4
 

@@ -154,10 +154,8 @@ def test_born_deterministic_probe_is_one(rng):
 def test_born_outcome_sum_is_one(rng):
     wi = interior_only(build_process(preset_process("HaarEnv", 2, 2, seed=4)))
     us = weyl_lab_unitaries(2, [(1, 2), (3, 0)])
-    total = 0.0
-    for m in (0, 1):
-        st = AncillaProbeSetting(KET0, tuple(us), (0.7,), outcome=m)
-        total += born_probability(wi, ancilla_superinstrument(st))
+    chois = ancilla_superinstrument(AncillaProbeSetting(KET0, tuple(us), (0.7,)))
+    total = sum(born_probability(wi, choi) for choi in chois)
     assert abs(total - 1.0) < 1e-10
 
 

@@ -225,9 +225,9 @@ def test_manifests_rebuild_every_element(kind):
         assert len(m["phase_gates"]) == n - 1 and side % 2 == 0
         assert all(u.shape == (side, side) and
                    np.max(np.abs(u.conj().T @ u - np.eye(side))) <= 1e-12 for u in us)
-        for outcome, label in enumerate(m["outcomes"]):
-            setting = AncillaProbeSetting(psi, us, tuple(m["phase_gates"]), outcome)
-            choi = ancilla_superinstrument(setting).choi
+        chois = ancilla_superinstrument(AncillaProbeSetting(psi, us, tuple(m["phase_gates"])))
+        assert len(m["outcomes"]) <= len(chois)
+        for choi, label in zip(chois, m["outcomes"]):
             element = elements[(m["setting"], label)]
             assert choi.labels == element.choi.labels
             assert np.max(np.abs(choi.mat - element.choi.mat)) <= 1e-12
@@ -244,3 +244,5 @@ def test_manifests_reject_family_without_circuits():
         serialize.family_manifests(ProbeFamily((e1, e0)))
     with pytest.raises(InvalidSetting):  # one setting, two different circuits
         serialize.family_manifests(ProbeFamily((e0, replace(y1, setting_id="MP:X"))))
+    with pytest.raises(InvalidSetting):  # one circuit, but outcome 1 holds outcome 0's Choi
+        serialize.family_manifests(ProbeFamily((e0, replace(e1, choi=e0.choi))))
