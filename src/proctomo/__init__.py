@@ -7,8 +7,6 @@ matrices, and reconstructs the process by dual-frame linear inversion.
 """
 
 from .choi_link import (
-    ChoiKind,
-    ChoiOperator,
     CombDirection,
     choi_of_kraus,
     choi_of_unitary,
@@ -17,8 +15,6 @@ from .choi_link import (
 )
 from .op_basis import (
     Normalization,
-    UnitaryDesign,
-    WeylBasis,
     clifford_design_qubit,
     haar_twirl2,
     kpq_operator,
@@ -28,7 +24,6 @@ from .op_basis import (
 )
 from .probe_factory import (
     AncillaProbeSetting,
-    BlockUnitarySpec,
     ProbeElement,
     ProbeFamily,
     Provenance,

@@ -25,7 +25,6 @@ from .tensor_core import (
     LabeledOperator,
     Role,
     SpaceLabel,
-    _as_key,
     identity_operator,
     partial_trace,
     permute_systems,
@@ -55,46 +54,14 @@ def bell_matrix(d: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-class ChoiKind(enum.Enum):
-    CP = "CP"
-    CPTP = "CPTP"
-    UNITARY = "Unitary"
-    PROBABILISTIC = "Probabilistic"
-
-
-@dataclass(frozen=True)
-class ChoiOperator:
-    """Choi operator with explicit input/output factor bookkeeping."""
-
-    op: LabeledOperator
-    kind: ChoiKind
-    in_keys: tuple = ()
-    out_keys: tuple = ()
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def labels(self):
-        return self.op.labels
-
-
-def _as_operator(x) -> LabeledOperator:
-    if isinstance(x, LabeledOperator):
-        return x
-    if hasattr(x, "op") and isinstance(x.op, LabeledOperator):
-        return x.op
-    raise DimMismatch(f"expected a labeled operator, got {type(x).__name__}")
-
-
 def _default_single_lab(d: int):
     return ([SpaceLabel(1, Role.INPUT, d)], [SpaceLabel(1, Role.OUTPUT, d)])
 
 
-def choi_of_unitary(u, in_labels=None, out_labels=None, tol: float = DEFAULT_TOL) -> ChoiOperator:
+def choi_of_unitary(u, in_labels=None, out_labels=None,
+                    tol: float = DEFAULT_TOL) -> LabeledOperator:
     """Rank-one Choi projector |vec U><vec U| of a unitary channel."""
-    umat = u.mat if isinstance(u, LabeledOperator) else np.asarray(u, dtype=np.complex128)
+    umat = np.asarray(u, dtype=np.complex128)
     d = umat.shape[0]
     if umat.shape != (d, d) or np.max(np.abs(umat.conj().T @ umat - np.eye(d))) > max(tol, 1e-12) * 10:
         raise NotUnitary(f"matrix of shape {umat.shape} is not unitary within tolerance")
@@ -104,12 +71,11 @@ def choi_of_unitary(u, in_labels=None, out_labels=None, tol: float = DEFAULT_TOL
     if math.prod(l.dim for l in in_labels) != d or math.prod(l.dim for l in out_labels) != d:
         raise DimMismatch("label dims do not match the unitary dimension")
     v = vec_matrix(umat)
-    op = LabeledOperator(tuple(in_labels + out_labels), np.outer(v, v.conj()))
-    return ChoiOperator(op, ChoiKind.UNITARY,
-                        tuple(l.key for l in in_labels), tuple(l.key for l in out_labels))
+    return LabeledOperator(tuple(in_labels + out_labels), np.outer(v, v.conj()))
 
 
-def choi_of_kraus(ks, in_labels=None, out_labels=None, tol: float = DEFAULT_TOL) -> ChoiOperator:
+def choi_of_kraus(ks, in_labels=None, out_labels=None,
+                  tol: float = DEFAULT_TOL) -> LabeledOperator:
     """Sum of vec-projectors of a Kraus family; CPTP iff sum K^dag K = I."""
     mats = [np.asarray(k, dtype=np.complex128) for k in ks]
     if not mats:
@@ -133,19 +99,15 @@ def choi_of_kraus(ks, in_labels=None, out_labels=None, tol: float = DEFAULT_TOL)
     for m in mats:
         v = vec_matrix(m)
         mat += np.outer(v, v.conj())
-    kind = ChoiKind.CPTP if np.max(np.abs(gram - np.eye(d_in))) <= tol * 10 else ChoiKind.CP
-    op = LabeledOperator(tuple(in_labels + out_labels), mat)
-    return ChoiOperator(op, kind,
-                        tuple(l.key for l in in_labels), tuple(l.key for l in out_labels))
+    return LabeledOperator(tuple(in_labels + out_labels), mat)
 
 
-def link_product(a, b) -> LabeledOperator:
+def link_product(A: LabeledOperator, B: LabeledOperator) -> LabeledOperator:
     """Link product A * B: contraction over the common (lab, role) factors.
 
     Equals Tr_C[(A^{T_C} (x) I)(I (x) B)] with C the shared factors; reduces to
     the tensor product when no labels are shared and to Tr[A^T B] when all are.
     """
-    A, B = _as_operator(a), _as_operator(b)
     common = [k for k in A.keys if k in set(B.keys)]
     for k in common:
         if A.labels[A.position(k)].dim != B.labels[B.position(k)].dim:
@@ -241,7 +203,7 @@ def _infer_ordering(w: LabeledOperator, direction: CombDirection):
     return pairs
 
 
-def validate_comb(w, ordering=None, direction=CombDirection.PROCESS,
+def validate_comb(W: LabeledOperator, direction: CombDirection = CombDirection.PROCESS,
                   tol: float = DEFAULT_TOL) -> CombReport:
     """Check positivity and the recursive causality constraints of a comb.
 
@@ -251,25 +213,20 @@ def validate_comb(w, ordering=None, direction=CombDirection.PROCESS,
     same hierarchy with input and output roles interchanged. Violations are
     reported per level in operator norm; nothing is raised.
     """
-    if isinstance(direction, str):
-        direction = CombDirection(direction)
-    W = _as_operator(w)
     h = (W.mat + W.mat.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(h)[0]) if W.side > 1 else float(h[0, 0].real)
     report = CombReport(direction=direction, tol=tol, min_eigenvalue=min_eig)
-    pairs = list(ordering) if ordering is not None else _infer_ordering(W, direction)
+    pairs = _infer_ordering(W, direction)
     cur = W
     for idx in range(len(pairs), 0, -1):
         id_key, tr_key = pairs[idx - 1]
-        id_key = _as_key(id_key)
         m = partial_trace(cur, [tr_key]) if tr_key is not None else cur
         id_label = m.labels[m.position(id_key)]
         traced = partial_trace(m, [id_key])
         reduced = LabeledOperator(traced.labels, traced.mat / id_label.dim)
         ideal = permute_systems(tensor(reduced, identity_operator([id_label])), m.labels)
         violation = float(np.linalg.norm(m.mat - ideal.mat, 2))
-        report.levels.append(CombLevel(idx, id_key, None if tr_key is None else _as_key(tr_key),
-                                       violation))
+        report.levels.append(CombLevel(idx, id_key, tr_key, violation))
         cur = reduced
     scalar = np.trace(cur.mat) if cur.labels else cur.mat[0, 0]
     report.scalar_violation = float(abs(scalar - 1.0))

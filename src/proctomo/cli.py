@@ -33,8 +33,6 @@ class RunConfig:
     family: str = "auto"
     family_cap: int = 20000
     subsample: int | None = None
-    tol: float = 1e-10
-    span_tol: float = 1e-8
     prep: str = "zero"
     project_psd: bool = False
     out: str = "out"
@@ -126,7 +124,7 @@ def _build_family(cfg: RunConfig) -> probe_factory.ProbeFamily:
 
 
 def cmd_span(cfg: RunConfig) -> int:
-    report = op_basis.span_bound_reports(cfg.dim, seed=cfg.seed, tol=cfg.span_tol)
+    report = op_basis.span_bound_reports(cfg.dim, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     _write_json(os.path.join(cfg.out, "span.json"), report.as_dict())
     for row in report.rows:
@@ -138,8 +136,8 @@ def cmd_span(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = process_sim.preset_process(cfg.preset, cfg.labs, cfg.dim,
                                       seed=cfg.seed, p=cfg.p, d_env=cfg.d_env)
-    w_full = process_sim.build_process(spec, tol=cfg.tol)
-    w_int = process_sim.interior_only(w_full, _prep_state(cfg), tol=cfg.tol)
+    w_full = process_sim.build_process(spec)
+    w_int = process_sim.interior_only(w_full, _prep_state(cfg))
     family = _build_family(cfg)
     records = process_sim.sample_shots(w_int, family, cfg.shots, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
@@ -169,9 +167,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     family = serialize.load_family(fam_path)
     with open(rec_path) as fh:
         records = serialize.records_from_json(fh.read())
-    bundle = tomography.build_frame(family, tol=cfg.tol)
-    report = tomography.linear_inversion(bundle, records,
-                                         project_psd=cfg.project_psd, tol=cfg.tol)
+    bundle = tomography.build_frame(family)
+    report = tomography.linear_inversion(bundle, records, project_psd=cfg.project_psd)
     truth_path = os.path.join(cfg.out, "w_true.json")
     if os.path.exists(truth_path):
         with open(truth_path) as fh:
@@ -199,7 +196,7 @@ def cmd_export_circuits(cfg: RunConfig) -> int:
 
 
 def _span_formulas(cfg: RunConfig, rng):
-    report = op_basis.span_bound_reports(cfg.dim, seed=cfg.seed, tol=cfg.span_tol)
+    report = op_basis.span_bound_reports(cfg.dim, seed=cfg.seed)
     return report.all_match, {r.family: r.measured for r in report.rows}
 
 
@@ -250,9 +247,9 @@ def _schmidt_bound(cfg: RunConfig, rng):
     """Bond of random block-unitary ancilla probes at every cut of max(2, labs) labs."""
     n, probes, worst = max(2, cfg.labs), 10, 0
     for _ in range(probes):
-        us = tuple(probe_factory.block_unitary(probe_factory.BlockUnitarySpec(
+        us = tuple(probe_factory.block_unitary(
             rng.uniform(0, 1) * op_basis.haar_unitary(2, rng), op_basis.haar_unitary(2, rng),
-            op_basis.haar_unitary(2, rng))) for _ in range(n))
+            op_basis.haar_unitary(2, rng)) for _ in range(n))
         e = probe_factory.ancilla_superinstrument(probe_factory.AncillaProbeSetting(
             probe_factory.KET0, us,
             tuple(rng.uniform(-np.pi, np.pi, n - 1))))[int(rng.integers(0, 2))]  # random outcome

@@ -24,23 +24,6 @@ class Normalization(enum.Enum):
     WEYL_UNITARY = "WeylUnitary"       # Tr[s^dag s'] = d * delta, each element unitary
 
 
-def _abstract_labels(d: int, n_factors: int = 1):
-    return [SpaceLabel(i, Role.INPUT, d) for i in range(n_factors)]
-
-
-@dataclass(frozen=True)
-class WeylBasis:
-    d: int
-    normalization: Normalization
-    elements: tuple[LabeledOperator, ...]
-
-    def matrix(self, mu: int) -> np.ndarray:
-        return self.elements[mu].mat
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def shift_matrix(d: int) -> np.ndarray:
     x = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
@@ -54,18 +37,15 @@ def clock_matrix(d: int) -> np.ndarray:
 
 
 @functools.cache
-def weyl_basis(d: int, normalization: Normalization = Normalization.WEYL_UNITARY) -> WeylBasis:
-    """Basis sigma_(a,b) = X^a Z^b indexed mu = a*d + b; sigma_0 = identity.
-    Cached: its matrices are read-only."""
+def weyl_basis(d: int, normalization: Normalization = Normalization.WEYL_UNITARY) -> np.ndarray:
+    """Basis sigma_(a,b) = X^a Z^b as a (d^2, d, d) array indexed mu = a*d + b;
+    sigma_0 = identity. Cached: the array is read-only."""
     x, z = shift_matrix(d), clock_matrix(d)
     scale = 1.0 if normalization is Normalization.WEYL_UNITARY else 1.0 / np.sqrt(d)
-    label = _abstract_labels(d)
-    elems = []
-    for a in range(d):
-        xa = np.linalg.matrix_power(x, a)
-        for b in range(d):
-            elems.append(LabeledOperator(label, xa @ np.linalg.matrix_power(z, b) * scale))
-    return WeylBasis(d, normalization, tuple(elems))
+    basis = np.stack([np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) * scale
+                      for a in range(d) for b in range(d)])
+    basis.flags.writeable = False
+    return basis
 
 
 def weyl_product_index(d: int, mu: int, nu: int) -> tuple[int, complex]:
@@ -75,21 +55,12 @@ def weyl_product_index(d: int, mu: int, nu: int) -> tuple[int, complex]:
     a2, b2 = divmod(nu, d)
     lam = ((a1 - a2) % d) * d + ((b1 - b2) % d)
     basis = weyl_basis(d, Normalization.WEYL_UNITARY)
-    prod = basis.matrix(mu) @ basis.matrix(nu).conj().T
-    phase = np.trace(basis.matrix(lam).conj().T @ prod) / d
+    prod = basis[mu] @ basis[nu].conj().T
+    phase = np.trace(basis[lam].conj().T @ prod) / d
     return lam, complex(phase)
 
 
-@dataclass(frozen=True)
-class UnitaryDesign:
-    elements: tuple[np.ndarray, ...]
-    order: int = 2
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def clifford_design_qubit() -> UnitaryDesign:
+def clifford_design_qubit() -> tuple[np.ndarray, ...]:
     """The 24 single-qubit Clifford unitaries (mod global phase), a 2-design."""
     def canon(u):
         idx = np.argmax(np.abs(u) > 1e-9)
@@ -119,7 +90,7 @@ def clifford_design_qubit() -> UnitaryDesign:
     elements = tuple(seen.values())
     if len(elements) != 24:
         raise DesignSizeMismatch(f"Clifford closure gave {len(elements)} elements, not 24")
-    return UnitaryDesign(elements=elements, order=2)
+    return elements
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -131,10 +102,6 @@ def swap_operator(d: int) -> np.ndarray:
 
 
 def _two_factor_matrix(x) -> tuple[np.ndarray, int]:
-    if isinstance(x, LabeledOperator):
-        if len(x.labels) == 2 and x.labels[0].dim == x.labels[1].dim:
-            return x.mat, x.labels[0].dim
-        raise DimMismatch("twirl input must have two equal-dimension factors")
     m = np.asarray(x, dtype=np.complex128)
     d = round(np.sqrt(m.shape[0]))
     if m.shape != (d * d, d * d):
@@ -142,7 +109,7 @@ def _two_factor_matrix(x) -> tuple[np.ndarray, int]:
     return m, d
 
 
-def haar_twirl2(x):
+def haar_twirl2(x) -> np.ndarray:
     """Analytic Haar second-moment projection a(X) I + b(X) F on d (x) d.
 
     The coefficients solve the 2x2 Gram system fixed by Tr[X] and Tr[F X].
@@ -153,35 +120,29 @@ def haar_twirl2(x):
     tr_fx = np.trace(f @ m)
     gram = np.array([[d * d, d], [d, d * d]], dtype=np.complex128)
     a, b = np.linalg.solve(gram, np.array([tr_x, tr_fx]))
-    out = a * np.eye(d * d, dtype=np.complex128) + b * f
-    if isinstance(x, LabeledOperator):
-        return LabeledOperator(x.labels, out)
-    return out
+    return a * np.eye(d * d, dtype=np.complex128) + b * f
 
 
-def design_twirl2(x, design: UnitaryDesign):
+def design_twirl2(x, design: tuple[np.ndarray, ...]) -> np.ndarray:
     """Empirical second-moment average over a finite design."""
     m, d = _two_factor_matrix(x)
     acc = np.zeros_like(m)
-    for u in design.elements:
+    for u in design:
         uu = np.kron(u, u)
         acc += uu @ m @ uu.conj().T
-    acc /= len(design.elements)
-    if isinstance(x, LabeledOperator):
-        return LabeledOperator(x.labels, acc)
+    acc /= len(design)
     return acc
 
 
-def choi_weyl_coefficient(choi, p: int, q: int, basis: WeylBasis) -> complex:
+def choi_weyl_coefficient(choi: LabeledOperator, p: int, q: int, basis: np.ndarray) -> complex:
     """Coefficient of sigma_p^T (x) sigma_q in a Choi operator under the plain
     trace pairing Tr[(sigma_p^T (x) sigma_q) M]."""
-    m = choi.mat if hasattr(choi, "mat") else np.asarray(choi)
-    probe = np.kron(basis.matrix(p).T, basis.matrix(q))
-    return complex(np.trace(probe @ m))
+    probe = np.kron(basis[p].T, basis[q])
+    return complex(np.trace(probe @ choi.mat))
 
 
-def kpq_operator(p: int, q: int, design: UnitaryDesign | None = None,
-                 basis: WeylBasis | None = None, d: int = 2) -> LabeledOperator:
+def kpq_operator(p: int, q: int, design: tuple[np.ndarray, ...] | None = None,
+                 basis: np.ndarray | None = None, d: int = 2) -> LabeledOperator:
     """Two-design-weighted combination of unitary Chois isolating the traceless
     basis direction sigma_p^T (x) sigma_q.
 
@@ -192,19 +153,19 @@ def kpq_operator(p: int, q: int, design: UnitaryDesign | None = None,
     """
     if basis is None:
         basis = weyl_basis(d, Normalization.HS_ORTHONORMAL)
-    d = basis.d
+    d = basis.shape[-1]
     if not (1 <= p < d * d and 1 <= q < d * d):
         raise IndexOutOfRange(f"traceless sector indices required, got ({p}, {q})")
     labels = [SpaceLabel(1, Role.INPUT, d), SpaceLabel(1, Role.OUTPUT, d)]
     if design is not None:
         acc = np.zeros((d * d, d * d), dtype=np.complex128)
-        for u in design.elements:
+        for u in design:
             ch = choi_link.choi_of_unitary(u, labels[:1], labels[1:])
             acc += choi_weyl_coefficient(ch, p, q, basis) * ch.mat
-        acc *= (d * d - 1) / len(design.elements)
+        acc *= (d * d - 1) / len(design)
         return LabeledOperator(labels, acc)
     # analytic route: E[C_pq(U) U|n><m|U^dag] evaluated with the Haar twirl
-    sp, sq = basis.matrix(p), basis.matrix(q)
+    sp, sq = basis[p], basis[q]
     acc = np.zeros((d, d, d, d), dtype=np.complex128)  # [n, i, m, j]
     eye = np.eye(d, dtype=np.complex128)
     for n in range(d):
@@ -218,23 +179,23 @@ def kpq_operator(p: int, q: int, design: UnitaryDesign | None = None,
     return LabeledOperator(labels, acc.reshape(d * d, d * d))
 
 
-def moment_matrix(design: UnitaryDesign, basis: WeylBasis) -> np.ndarray:
+def moment_matrix(design: tuple[np.ndarray, ...], basis: np.ndarray) -> np.ndarray:
     """Second-moment coefficient matrix M[p-1, q-1, i-1, j-1] over the
     traceless sector, rescaled by (d^2-1) so matching indices give exactly one.
 
     The (i, j) coefficient enters conjugated, which reduces to the plain
     product for Hermitian basis elements.
     """
-    d = basis.d
+    d = basis.shape[-1]
     n = d * d - 1
-    coeffs = np.zeros((len(design.elements), n, n), dtype=np.complex128)
-    for k, u in enumerate(design.elements):
+    coeffs = np.zeros((len(design), n, n), dtype=np.complex128)
+    for k, u in enumerate(design):
         ch = choi_link.choi_of_unitary(u, [SpaceLabel(1, Role.INPUT, d)],
                                        [SpaceLabel(1, Role.OUTPUT, d)])
         for p in range(1, d * d):
             for q in range(1, d * d):
                 coeffs[k, p - 1, q - 1] = choi_weyl_coefficient(ch, p, q, basis)
-    m = np.einsum("kab,kcd->abcd", coeffs, coeffs.conj()) / len(design.elements)
+    m = np.einsum("kab,kcd->abcd", coeffs, coeffs.conj()) / len(design)
     return m * (d * d - 1)
 
 
@@ -343,9 +304,9 @@ def span_bound_reports(d: int, seed: int = 7, tol: float = 1e-8) -> SpanBoundRep
     n_unitary = max(120, 2 * unitary_formula)
     n_cptp = max(200, 2 * cptp_formula)
     labels = ([SpaceLabel(1, Role.INPUT, d)], [SpaceLabel(1, Role.OUTPUT, d)])
-    unitary_fam = [choi_link.choi_of_unitary(haar_unitary(d, rng), *labels).op
+    unitary_fam = [choi_link.choi_of_unitary(haar_unitary(d, rng), *labels)
                    for _ in range(n_unitary)]
-    cptp_fam = [random_cptp_choi(d, rng).op for _ in range(n_cptp)]
+    cptp_fam = [random_cptp_choi(d, rng) for _ in range(n_cptp)]
     mp_fam = measure_prepare_chois(d)
     rows = [
         SpanBoundRow("unitary", span_dimension(unitary_fam, tol), unitary_formula),

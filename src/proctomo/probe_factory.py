@@ -108,23 +108,16 @@ def lab_labels(lab: int, d: int) -> tuple[SpaceLabel, SpaceLabel]:
 # Block unitaries with a qubit ancilla
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockUnitarySpec:
-    k00: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
-def block_unitary(spec: BlockUnitarySpec, tol: float = DEFAULT_TOL) -> np.ndarray:
+def block_unitary(k00, v, w, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Joint system-ancilla unitary with prescribed K00 block.
 
     Off-diagonal blocks are K01 = sqrt(I - K00 K00^dag) V and
     K10 = W sqrt(I - K00^dag K00); the remaining block is forced to
     K11 = -W K00^dag V. System is the first tensor factor, ancilla the second.
     """
-    k00 = np.asarray(spec.k00, dtype=np.complex128)
-    v = np.asarray(spec.v, dtype=np.complex128)
-    w = np.asarray(spec.w, dtype=np.complex128)
+    k00 = np.asarray(k00, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
     d = k00.shape[0]
     smax = float(np.linalg.norm(k00, 2))
     if smax > 1.0 + tol:
@@ -388,17 +381,18 @@ def phase_filter(samples, links: int = 1) -> np.ndarray:
 # Weyl-block ancilla families
 # ---------------------------------------------------------------------------
 
-def weyl_block_spec(d: int, position: str, mu: int, nu: int) -> BlockUnitarySpec:
-    """Per-lab block choice: K00 = sigma_nu / sqrt2 everywhere; the free
-    unitary targeted by the filter is W = sigma_mu for first/middle labs and
-    V = sigma_mu for the last lab."""
+def weyl_block_spec(d: int, position: str, mu: int,
+                    nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-lab block choice (K00, V, W) for block_unitary: K00 = sigma_nu / sqrt2
+    everywhere; the free unitary targeted by the filter is W = sigma_mu for
+    first/middle labs and V = sigma_mu for the last lab."""
     basis = weyl_basis(d, Normalization.WEYL_UNITARY)
-    k00 = basis.matrix(nu) / np.sqrt(2)
+    k00 = basis[nu] / np.sqrt(2)
     eye = np.eye(d, dtype=np.complex128)
     if position in ("first", "middle"):
-        return BlockUnitarySpec(k00=k00, v=eye, w=basis.matrix(mu))
+        return k00, eye, basis[mu]
     if position == "last":
-        return BlockUnitarySpec(k00=k00, v=basis.matrix(mu), w=eye)
+        return k00, basis[mu], eye
     raise InvalidSetting(f"unknown lab position {position!r}")
 
 
@@ -408,7 +402,7 @@ def _position(t: int, n: int) -> str:
 
 def weyl_lab_unitaries(d: int, pairs) -> list[np.ndarray]:
     """Joint unitaries for one Weyl-index setting; pairs = [(mu, nu)] per lab."""
-    return [block_unitary(weyl_block_spec(d, _position(t, len(pairs)), mu, nu))
+    return [block_unitary(*weyl_block_spec(d, _position(t, len(pairs)), mu, nu))
             for t, (mu, nu) in enumerate(pairs, start=1)]
 
 
@@ -475,7 +469,7 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     if n_labs == 1:
         states = op_basis.tomography_state_vectors(d)
     else:  # a lab unitary depends only on its position and (mu, nu): build each once, on use
-        lab_unitary = functools.cache(lambda *key: block_unitary(weyl_block_spec(d, *key)))
+        lab_unitary = functools.cache(lambda *key: block_unitary(*weyl_block_spec(d, *key)))
     theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
     elems = []
     for s_idx in chosen:

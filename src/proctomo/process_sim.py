@@ -186,12 +186,12 @@ def build_process(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> ProcessMatrix:
         steps = [LabeledOperator((_sys_out(t, d), _sys_in(t + 1, d)), c)
                  for t, c in enumerate(spec.channels)]
     elif spec.d_env == 1:
-        steps = [choi_of_unitary(u, [_sys_out(t, d)], [_sys_in(t + 1, d)]).op
+        steps = [choi_of_unitary(u, [_sys_out(t, d)], [_sys_in(t + 1, d)])
                  for t, u in enumerate(spec.unitaries)]
     else:
         env = [SpaceLabel(t, Role.ENV, spec.d_env) for t in range(n + 2)]
         steps = [LabeledOperator((env[0],), spec.env_state)]
-        steps += [choi_of_unitary(u, [_sys_out(t, d), env[t]], [_sys_in(t + 1, d), env[t + 1]]).op
+        steps += [choi_of_unitary(u, [_sys_out(t, d), env[t]], [_sys_in(t + 1, d), env[t + 1]])
                   for t, u in enumerate(spec.unitaries)]
         # No later step shares the last environment wire: trace it before linking.
         steps[-1] = partial_trace(steps[-1], [env[n + 1]])

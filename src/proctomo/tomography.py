@@ -6,6 +6,7 @@ plain frame F = sum |T_a><T_a| and the single transpose is applied when the
 reconstructed vector is reshaped back to a matrix, never inside the frame.
 """
 
+import collections
 import functools
 from dataclasses import dataclass, field
 
@@ -75,6 +76,9 @@ def _frequencies(bundle: FrameBundle, data) -> np.ndarray:
     table: dict[tuple[str, str], ExperimentRecord] = {}
     for r in data:
         table[(r.setting_id, r.outcome)] = r
+    if len(table) < len(data):  # the table keeps only the last record of a repeated key
+        counts = collections.Counter((r.setting_id, r.outcome) for r in data)
+        raise UnexpectedRecord(f"record {max(counts, key=counts.get)} is repeated")
     freqs = np.empty(len(bundle.family))
     for i, e in enumerate(bundle.family):
         rec = table.get(e.record_key)

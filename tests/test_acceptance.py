@@ -138,7 +138,7 @@ def test_c06_two_design_identities(announce):
     for p in range(1, 4):
         for q in range(1, 4):
             k = kpq_operator(p, q, design=design, basis=basis)
-            target = np.kron(basis.matrix(p).T, basis.matrix(q))
+            target = np.kron(basis[p].T, basis[q])
             worst_k = max(worst_k, float(np.max(np.abs(k.mat - target))))
     assert worst_k <= 1e-10
     twirl = verify_check("clifford_twirl")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from proctomo.choi_link import (
-    ChoiKind,
     CombDirection,
     bell_matrix,
     choi_of_kraus,
@@ -59,7 +58,6 @@ def test_vec_unvec_roundtrip(rng):
 def test_choi_of_identity_is_bell():
     ch = choi_of_unitary(np.eye(2))
     assert np.allclose(ch.mat, bell_matrix(2))
-    assert ch.kind is ChoiKind.UNITARY
 
 
 def test_choi_of_x_projector():
@@ -73,8 +71,8 @@ def test_choi_partial_traces_identity(rng):
     for _ in range(10):
         u = haar_unitary(3, rng)
         ch = choi_of_unitary(u, [SpaceLabel(1, Role.INPUT, 3)], [SpaceLabel(1, Role.OUTPUT, 3)])
-        assert np.max(np.abs(partial_trace(ch.op, [(1, Role.OUTPUT)]).mat - np.eye(3))) < 1e-10
-        assert np.max(np.abs(partial_trace(ch.op, [(1, Role.INPUT)]).mat - np.eye(3))) < 1e-10
+        assert np.max(np.abs(partial_trace(ch, [(1, Role.OUTPUT)]).mat - np.eye(3))) < 1e-10
+        assert np.max(np.abs(partial_trace(ch, [(1, Role.INPUT)]).mat - np.eye(3))) < 1e-10
 
 
 def test_choi_of_unitary_rejects_nonunitary():
@@ -95,7 +93,6 @@ def test_choi_of_kraus_mixed_pauli():
     vx = np.array([0, 1, 1, 0], dtype=complex)
     target = (bell_matrix(2) + np.outer(vx, vx)) / 2
     assert np.allclose(ch.mat, target)
-    assert ch.kind is ChoiKind.CPTP
 
 
 def test_choi_of_kraus_single_identity():
@@ -200,7 +197,7 @@ def test_validate_comb_cptp_tester(rng):
     z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     q, _ = np.linalg.qr(z)
     ch = choi_of_kraus([q[:2, :], q[2:, :]])
-    report = validate_comb(ch.op, direction=CombDirection.TESTER)
+    report = validate_comb(ch, direction=CombDirection.TESTER)
     assert report.passed
 
 

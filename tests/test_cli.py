@@ -23,6 +23,15 @@ def test_config_rejects_unknown_field(tmp_path):
     assert "bogus_field" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["tol", "span_tol"])
+def test_config_tolerances_are_not_fields(tmp_path, capsys, field):
+    # the tolerances are the defaults of the functions the commands call
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: 1e-6}))
+    assert run(["simulate", "--config", path, "--out", tmp_path / "run"]) == 2
+    assert f"unknown config field {field!r}" in capsys.readouterr().err
+
+
 def test_config_flag_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dim": 2, "labs": 1, "shots": 50}))

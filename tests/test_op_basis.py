@@ -35,18 +35,28 @@ PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 def test_weyl_d2_elements():
     basis = weyl_basis(2, Normalization.WEYL_UNITARY)
-    assert np.allclose(basis.matrix(0), PAULI_I)
-    assert np.allclose(basis.matrix(1), PAULI_Z)
-    assert np.allclose(basis.matrix(2), PAULI_X)
+    assert np.allclose(basis[0], PAULI_I)
+    assert np.allclose(basis[1], PAULI_Z)
+    assert np.allclose(basis[2], PAULI_X)
     # XZ = -iY
-    assert np.allclose(basis.matrix(3), -1j * PAULI_Y)
+    assert np.allclose(basis[3], -1j * PAULI_Y)
+
+
+def test_weyl_basis_is_one_cached_read_only_array():
+    basis = weyl_basis(3)
+    assert basis.shape == (9, 3, 3)
+    assert weyl_basis(3) is basis
+    with pytest.raises(ValueError):
+        basis[1, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        basis[4] *= 2
 
 
 def test_weyl_orthogonality_d3():
     basis = weyl_basis(3, Normalization.WEYL_UNITARY)
     for mu in range(9):
         for nu in range(9):
-            ip = np.trace(basis.matrix(mu).conj().T @ basis.matrix(nu))
+            ip = np.trace(basis[mu].conj().T @ basis[nu])
             assert abs(ip - (3.0 if mu == nu else 0.0)) < 1e-12
 
 
@@ -54,9 +64,9 @@ def test_weyl_hs_normalization():
     basis = weyl_basis(2, Normalization.HS_ORTHONORMAL)
     for mu in range(4):
         for nu in range(4):
-            ip = np.trace(basis.matrix(mu).conj().T @ basis.matrix(nu))
+            ip = np.trace(basis[mu].conj().T @ basis[nu])
             assert abs(ip - (1.0 if mu == nu else 0.0)) < 1e-12
-    assert np.allclose(basis.matrix(0), PAULI_I / np.sqrt(2))
+    assert np.allclose(basis[0], PAULI_I / np.sqrt(2))
 
 
 def test_weyl_products_close_up_to_phase():
@@ -64,16 +74,16 @@ def test_weyl_products_close_up_to_phase():
     for mu in range(4):
         for nu in range(4):
             lam, phase = weyl_product_index(2, mu, nu)
-            prod = basis.matrix(mu) @ basis.matrix(nu).conj().T
+            prod = basis[mu] @ basis[nu].conj().T
             assert abs(abs(phase) - 1.0) < 1e-12
-            assert np.max(np.abs(prod - phase * basis.matrix(lam))) < 1e-12
+            assert np.max(np.abs(prod - phase * basis[lam])) < 1e-12
 
 
 def test_weyl_unitarity():
     for d in (2, 3):
         basis = weyl_basis(d, Normalization.WEYL_UNITARY)
         for mu in range(d * d):
-            m = basis.matrix(mu)
+            m = basis[mu]
             assert np.max(np.abs(m.conj().T @ m - np.eye(d))) < 1e-12
 
 
@@ -93,7 +103,7 @@ def test_package_has_no_assert_statements():
 def test_clifford_permutes_paulis():
     design = clifford_design_qubit()
     paulis = [PAULI_X, PAULI_Y, PAULI_Z]
-    for u in design.elements:
+    for u in design:
         for p in paulis:
             conj = u @ p @ u.conj().T
             hits = [np.max(np.abs(conj - s * q)) < 1e-9
@@ -118,7 +128,7 @@ def test_haar_twirl_traceless_pairs():
         f = swap_operator(d)
         for q in range(1, d * d):
             for j in range(1, d * d):
-                x = np.kron(basis.matrix(q), basis.matrix(j))
+                x = np.kron(basis[q], basis[j])
                 expected = (np.trace(f @ x) / (d * (d * d - 1))) * (d * f - np.eye(d * d))
                 assert np.max(np.abs(haar_twirl2(x) - expected)) < 1e-12
 
@@ -133,7 +143,7 @@ def test_haar_twirl_matches_design_average(rng):
 def test_kpq_d2_diagonal():
     basis = weyl_basis(2, Normalization.HS_ORTHONORMAL)
     k11 = kpq_operator(1, 1, design=clifford_design_qubit(), basis=basis)
-    target = np.kron(basis.matrix(1).T, basis.matrix(1))
+    target = np.kron(basis[1].T, basis[1])
     assert np.max(np.abs(k11.mat - target)) < 1e-10
 
 
@@ -144,7 +154,7 @@ def test_kpq_design_and_analytic_agree():
         for q in range(1, 4):
             kd = kpq_operator(p, q, design=design, basis=basis)
             ka = kpq_operator(p, q, basis=basis)
-            target = np.kron(basis.matrix(p).T, basis.matrix(q))
+            target = np.kron(basis[p].T, basis[q])
             assert np.max(np.abs(kd.mat - target)) < 1e-10
             assert np.max(np.abs(ka.mat - kd.mat)) < 1e-10
 
@@ -168,7 +178,7 @@ def test_coefficient_one_design_average_vanishes():
     for p in range(1, 4):
         for q in range(1, 4):
             avg = np.mean([choi_weyl_coefficient(choi_of_unitary(u), p, q, basis)
-                           for u in design.elements])
+                           for u in design])
             assert abs(avg) < 1e-12
 
 
@@ -184,7 +194,7 @@ def test_unitary_choi_has_no_boundary_components(rng):
 
 
 def test_span_dimension_clifford_chois():
-    fam = [choi_of_unitary(u).op for u in clifford_design_qubit().elements]
+    fam = [choi_of_unitary(u) for u in clifford_design_qubit()]
     assert span_dimension(fam) == 10
 
 
@@ -212,7 +222,7 @@ def test_span_dimension_empty():
 
 def test_random_cptp_span(rng):
     from proctomo.op_basis import random_cptp_choi
-    fam = [random_cptp_choi(2, rng).op for _ in range(200)]
+    fam = [random_cptp_choi(2, rng) for _ in range(200)]
     assert span_dimension(fam) == 13
 
 

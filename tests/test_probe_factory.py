@@ -35,7 +35,6 @@ from proctomo.probe_factory import (
     QUBIT16_UNITARIES,
     THETA_GRID,
     AncillaProbeSetting,
-    BlockUnitarySpec,
     ancilla_block,
     ancilla_superinstrument,
     block_unitary,
@@ -60,7 +59,7 @@ from conftest import random_hermitian
 
 def random_block_spec(rng, d=2):
     k00 = rng.uniform(0, 1) * haar_unitary(d, rng)
-    return BlockUnitarySpec(k00, haar_unitary(d, rng), haar_unitary(d, rng))
+    return k00, haar_unitary(d, rng), haar_unitary(d, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,7 @@ def random_block_spec(rng, d=2):
 # ---------------------------------------------------------------------------
 
 def test_block_unitary_zero_block_is_ancilla_flip():
-    u = block_unitary(BlockUnitarySpec(np.zeros((2, 2)), np.eye(2), np.eye(2)))
+    u = block_unitary(np.zeros((2, 2)), np.eye(2), np.eye(2))
     assert np.allclose(u, np.kron(np.eye(2), PAULI_X))
 
 
@@ -76,24 +75,24 @@ def test_block_unitary_weyl_choice_first_lab():
     basis = weyl_basis(2, Normalization.WEYL_UNITARY)
     for mu in range(4):
         for nu in range(4):
-            u = block_unitary(weyl_block_spec(2, "first", mu, nu))
+            u = block_unitary(*weyl_block_spec(2, "first", mu, nu))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-            assert np.allclose(ancilla_block(u, 0, 0), basis.matrix(nu) / np.sqrt(2))
-            assert np.allclose(ancilla_block(u, 1, 0), basis.matrix(mu) / np.sqrt(2))
+            assert np.allclose(ancilla_block(u, 0, 0), basis[nu] / np.sqrt(2))
+            assert np.allclose(ancilla_block(u, 1, 0), basis[mu] / np.sqrt(2))
 
 
 def test_block_unitary_k11_identity(rng):
     for _ in range(20):
-        spec = random_block_spec(rng)
-        u = block_unitary(spec)
+        k00, v, w = random_block_spec(rng)
+        u = block_unitary(k00, v, w)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-        expected = -spec.w @ spec.k00.conj().T @ spec.v
+        expected = -w @ k00.conj().T @ v
         assert np.max(np.abs(ancilla_block(u, 1, 1) - expected)) < 1e-10
 
 
 def test_block_unitary_rejects_large_singular_value():
     with pytest.raises(SingularValueExceedsOne):
-        block_unitary(BlockUnitarySpec(1.5 * np.eye(2), np.eye(2), np.eye(2)))
+        block_unitary(1.5 * np.eye(2), np.eye(2), np.eye(2))
 
 
 def test_extract_blocks_identity():
@@ -113,9 +112,9 @@ def test_blocks_column_isometry(rng):
 
 def test_block_roundtrip(rng):
     for _ in range(50):
-        spec = random_block_spec(rng)
-        u = block_unitary(spec)
-        assert np.max(np.abs(ancilla_block(u, 0, 0) - spec.k00)) < 1e-12
+        k00, v, w = random_block_spec(rng)
+        u = block_unitary(k00, v, w)
+        assert np.max(np.abs(ancilla_block(u, 0, 0) - k00)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,8 @@ def doublesum_oracle(u1, u2, theta, m):
 
 def test_superinstrument_matches_double_sum(rng):
     for _ in range(10):
-        u1 = block_unitary(random_block_spec(rng))
-        u2 = block_unitary(random_block_spec(rng))
+        u1 = block_unitary(*random_block_spec(rng))
+        u2 = block_unitary(*random_block_spec(rng))
         theta = float(rng.uniform(-np.pi, np.pi))
         chois = ancilla_superinstrument(AncillaProbeSetting(KET0, (u1, u2), (theta,)))
         for m, choi in enumerate(chois):
@@ -259,7 +258,7 @@ def test_superinstrument_matches_link_chain(rng, n_labs):
 
 
 def test_superinstrument_psd_and_tester(rng):
-    us = tuple(block_unitary(random_block_spec(rng)) for _ in range(2))
+    us = tuple(block_unitary(*random_block_spec(rng)) for _ in range(2))
     chois = ancilla_superinstrument(AncillaProbeSetting(KET0, us, (0.3,)))
     for choi in chois:
         assert np.linalg.eigvalsh((choi.mat + choi.mat.conj().T) / 2)[0] >= -1e-10
@@ -268,7 +267,7 @@ def test_superinstrument_psd_and_tester(rng):
 
 
 def test_setting_validation():
-    u = block_unitary(BlockUnitarySpec(np.zeros((2, 2)), np.eye(2), np.eye(2)))
+    u = block_unitary(np.zeros((2, 2)), np.eye(2), np.eye(2))
     with pytest.raises(InvalidSetting):
         AncillaProbeSetting(np.array([1, 1]), (u,), ())
     with pytest.raises(InvalidSetting):
@@ -307,7 +306,7 @@ def test_phase_filter_two_lab_weyl_blocks(rng):
         assert np.max(np.abs(filt - oracle.mat)) < 1e-10
         # and against the rank-one Weyl form directly
         basis = weyl_basis(2, Normalization.WEYL_UNITARY)
-        v1, w1, v2, w2 = (vec_matrix(basis.matrix(k)) / np.sqrt(2) for k in (mu, nu, mup, nup))
+        v1, w1, v2, w2 = (vec_matrix(basis[k]) / np.sqrt(2) for k in (mu, nu, mup, nup))
         direct = np.kron(np.outer(v1, w1.conj()), np.outer(v2, w2.conj()))
         assert np.max(np.abs(filt - direct)) < 1e-10
 
@@ -325,10 +324,10 @@ def test_middle_lab_block_is_weyl_product(rng):
     basis = weyl_basis(2, Normalization.WEYL_UNITARY)
     for mu in range(4):
         for nu in range(4):
-            u = block_unitary(weyl_block_spec(2, "middle", mu, nu))
+            u = block_unitary(*weyl_block_spec(2, "middle", mu, nu))
             k11 = ancilla_block(u, 1, 1)
             lam, phase = weyl_product_index(2, mu, nu)
-            assert np.max(np.abs(k11 + phase * basis.matrix(lam) / np.sqrt(2))) < 1e-12
+            assert np.max(np.abs(k11 + phase * basis[lam] / np.sqrt(2))) < 1e-12
 
 
 def test_nested_filters_three_labs(rng):
@@ -395,7 +394,7 @@ def test_weyl_family_builds_one_circuit_per_setting(monkeypatch):
 def test_weyl_family_builds_only_the_lab_unitaries_it_uses(monkeypatch):
     calls = []
     monkeypatch.setattr(probe_factory, "block_unitary",
-                        lambda spec: calls.append(spec) or block_unitary(spec))
+                        lambda *blocks: calls.append(blocks) or block_unitary(*blocks))
     fam = weyl_ancilla_family(2, 3, subsample_settings=1)
     assert len(fam) == 8 and len(calls) <= 2
 
@@ -472,7 +471,7 @@ def test_schmidt_rank_product_probe(rng, qubit16):
 
 def test_schmidt_rank_ancilla_probe_bounded(rng):
     for _ in range(5):
-        us = tuple(block_unitary(random_block_spec(rng)) for _ in range(3))
+        us = tuple(block_unitary(*random_block_spec(rng)) for _ in range(3))
         st = AncillaProbeSetting(KET0, us, tuple(rng.uniform(-np.pi, np.pi, 2)))
         e = ancilla_superinstrument(st)[0]
         assert operator_schmidt_rank(e, {1}) <= 4

@@ -98,11 +98,11 @@ def test_env_identity_splice_invariance(rng):
     acc = LabeledOperator((env[0],), spec.env_state)
     step0 = choi_of_unitary(spec.unitaries[0],
                             [SpaceLabel(0, Role.OUTPUT, d), env[0]],
-                            [SpaceLabel(1, Role.INPUT, d), env[1]]).op
-    env_id = choi_of_unitary(np.eye(de), [env[1]], [extra]).op
+                            [SpaceLabel(1, Role.INPUT, d), env[1]])
+    env_id = choi_of_unitary(np.eye(de), [env[1]], [extra])
     step1 = choi_of_unitary(spec.unitaries[1],
                             [SpaceLabel(1, Role.OUTPUT, d), extra],
-                            [SpaceLabel(2, Role.INPUT, d), SpaceLabel(10, Role.ENV, de)]).op
+                            [SpaceLabel(2, Role.INPUT, d), SpaceLabel(10, Role.ENV, de)])
     acc = link_product(link_product(link_product(acc, step0), env_id), step1)
     acc = partial_trace(acc, [(10, Role.ENV)])
     from proctomo.tensor_core import canonicalize
@@ -118,7 +118,7 @@ def test_build_process_matches_link_then_trace(n_labs, d):
     for t, u in enumerate(spec.unitaries):
         acc = link_product(acc, choi_of_unitary(
             u, [SpaceLabel(t, Role.OUTPUT, d), env[t]],
-            [SpaceLabel(t + 1, Role.INPUT, d), env[t + 1]]).op)
+            [SpaceLabel(t + 1, Role.INPUT, d), env[t + 1]]))
     ref = canonicalize(partial_trace(acc, [env[-1]]))
     w = build_process(spec)
     assert w.op.labels == ref.labels

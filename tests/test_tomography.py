@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from proctomo.errors import DimMismatch, EmptyFamily, MissingData, NotIC, OutsideSpan
+from proctomo.errors import (
+    DimMismatch,
+    EmptyFamily,
+    MissingData,
+    NotIC,
+    OutsideSpan,
+    UnexpectedRecord,
+)
 from proctomo.probe_factory import (
     ProbeFamily,
     measure_prepare_family,
@@ -111,6 +118,16 @@ def test_inversion_missing_data(qubit16, qubit16_bundle):
     _, records = exact_records("HaarEnv", 1, qubit16)
     with pytest.raises(MissingData):
         linear_inversion(qubit16_bundle, records[:-1])
+
+
+def test_repeated_record_is_rejected(rng, qubit16, qubit16_bundle):
+    _, records = exact_records("HaarEnv", 1, qubit16)
+    records = records + [ExperimentRecord("U:I", "0", probability=0.0)]
+    with pytest.raises(UnexpectedRecord, match="U:I"):
+        linear_inversion(qubit16_bundle, records)
+    o = LabeledOperator(qubit16_bundle.labels, random_hermitian(rng, 4))
+    with pytest.raises(UnexpectedRecord, match="repeated"):
+        estimate_functional(o, qubit16_bundle, records)
 
 
 def test_shot_scaling_median_error(qubit16, qubit16_bundle):
