@@ -58,12 +58,11 @@ def _default_single_lab(d: int):
     return ([SpaceLabel(1, Role.INPUT, d)], [SpaceLabel(1, Role.OUTPUT, d)])
 
 
-def choi_of_unitary(u, in_labels=None, out_labels=None,
-                    tol: float = DEFAULT_TOL) -> LabeledOperator:
+def choi_of_unitary(u, in_labels=None, out_labels=None) -> LabeledOperator:
     """Rank-one Choi projector |vec U><vec U| of a unitary channel."""
     umat = np.asarray(u, dtype=np.complex128)
     d = umat.shape[0]
-    if umat.shape != (d, d) or np.max(np.abs(umat.conj().T @ umat - np.eye(d))) > max(tol, 1e-12) * 10:
+    if umat.shape != (d, d) or np.max(np.abs(umat.conj().T @ umat - np.eye(d))) > DEFAULT_TOL * 10:
         raise NotUnitary(f"matrix of shape {umat.shape} is not unitary within tolerance")
     if in_labels is None or out_labels is None:
         in_labels, out_labels = _default_single_lab(d)
@@ -74,8 +73,7 @@ def choi_of_unitary(u, in_labels=None, out_labels=None,
     return LabeledOperator(tuple(in_labels + out_labels), np.outer(v, v.conj()))
 
 
-def choi_of_kraus(ks, in_labels=None, out_labels=None,
-                  tol: float = DEFAULT_TOL) -> LabeledOperator:
+def choi_of_kraus(ks, in_labels=None, out_labels=None) -> LabeledOperator:
     """Sum of vec-projectors of a Kraus family; CPTP iff sum K^dag K = I."""
     mats = [np.asarray(k, dtype=np.complex128) for k in ks]
     if not mats:
@@ -86,7 +84,7 @@ def choi_of_kraus(ks, in_labels=None, out_labels=None,
     d_out, d_in = shape
     gram = sum(m.conj().T @ m for m in mats)
     excess = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) - 1.0
-    if excess > tol * 10:
+    if excess > DEFAULT_TOL * 10:
         raise TraceExceedsOne(f"sum K^dag K exceeds identity by {excess:.3e}")
     if in_labels is None or out_labels is None:
         if d_in != d_out:
@@ -149,7 +147,6 @@ class CombLevel:
 @dataclass
 class CombReport:
     direction: CombDirection
-    tol: float
     min_eigenvalue: float
     levels: list[CombLevel] = field(default_factory=list)
     scalar_violation: float = 0.0
@@ -160,12 +157,8 @@ class CombReport:
         return max(worst, self.scalar_violation)
 
     @property
-    def psd_ok(self) -> bool:
-        return self.min_eigenvalue >= -self.tol
-
-    @property
     def passed(self) -> bool:
-        return self.psd_ok and self.max_violation <= self.tol
+        return self.min_eigenvalue >= -DEFAULT_TOL and self.max_violation <= DEFAULT_TOL
 
     def summary(self) -> dict:
         return {
@@ -203,8 +196,8 @@ def _infer_ordering(w: LabeledOperator, direction: CombDirection):
     return pairs
 
 
-def validate_comb(W: LabeledOperator, direction: CombDirection = CombDirection.PROCESS,
-                  tol: float = DEFAULT_TOL) -> CombReport:
+def validate_comb(W: LabeledOperator,
+                  direction: CombDirection = CombDirection.PROCESS) -> CombReport:
     """Check positivity and the recursive causality constraints of a comb.
 
     Each level traces the later wire of a time-ordered pair and compares the
@@ -215,7 +208,7 @@ def validate_comb(W: LabeledOperator, direction: CombDirection = CombDirection.P
     """
     h = (W.mat + W.mat.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(h)[0]) if W.side > 1 else float(h[0, 0].real)
-    report = CombReport(direction=direction, tol=tol, min_eigenvalue=min_eig)
+    report = CombReport(direction=direction, min_eigenvalue=min_eig)
     pairs = _infer_ordering(W, direction)
     cur = W
     for idx in range(len(pairs), 0, -1):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import op_basis, probe_factory, process_sim, serialize, tomography
-from .errors import ConfigError, ProctomoError
+from . import choi_link, op_basis, probe_factory, process_sim, serialize, tomography
+from .errors import ConfigError, ParseError, ProctomoError
 
 
 @dataclass
@@ -93,14 +93,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _prep_state(cfg: RunConfig) -> np.ndarray:
-    if cfg.prep == "maximally_mixed":
-        return np.eye(cfg.dim, dtype=np.complex128) / cfg.dim
-    rho = np.zeros((cfg.dim, cfg.dim), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    return rho
-
-
 def _build_family(cfg: RunConfig) -> probe_factory.ProbeFamily:
     choice = cfg.family
     if choice == "auto":
@@ -137,7 +129,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     spec = process_sim.preset_process(cfg.preset, cfg.labs, cfg.dim,
                                       seed=cfg.seed, p=cfg.p, d_env=cfg.d_env)
     w_full = process_sim.build_process(spec)
-    w_int = process_sim.interior_only(w_full, _prep_state(cfg))
+    prep = np.eye(cfg.dim, dtype=np.complex128) / cfg.dim if cfg.prep == "maximally_mixed" else None
+    w_int = process_sim.interior_only(w_full, prep)  # None prepares |0><0|
     family = _build_family(cfg)
     records = process_sim.sample_shots(w_int, family, cfg.shots, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
@@ -154,7 +147,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cfg_echo.pop("out")  # location of the artifacts, not part of the run identity
     _write_json(os.path.join(cfg.out, "meta.json"),
                 {"config": cfg_echo, "family_size": len(family),
-                 "comb_max_violation": w_int.comb_report.max_violation})
+                 "comb_max_violation": choi_link.validate_comb(w_int.op).max_violation})
     print(f"simulate: {len(family)} probe elements, shots={cfg.shots}, out={cfg.out}")
     return 0
 
@@ -172,7 +165,10 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     truth_path = os.path.join(cfg.out, "w_true.json")
     if os.path.exists(truth_path):
         with open(truth_path) as fh:
-            w_true = serialize.operator_from_json(json.load(fh))
+            try:
+                w_true = serialize.operator_from_json(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad {truth_path}: {exc}") from exc
         report.metrics = tomography.reconstruction_metrics(w_true, report.w_est)
     payload = report.as_dict()
     payload["w_est"] = serialize.operator_to_json(report.w_est)
@@ -237,8 +233,9 @@ def _phase_filter_isolation(cfg: RunConfig, rng):
 
 
 def _preset_comb(cfg: RunConfig, rng):
-    reports = [process_sim.build_process(process_sim.preset_process(
-        preset, cfg.labs, 2, seed=cfg.seed)).comb_report
+    """Full boundary-wire W of three presets, which nothing validates while building."""
+    reports = [choi_link.validate_comb(process_sim.build_process(process_sim.preset_process(
+        preset, cfg.labs, 2, seed=cfg.seed)).op)
         for preset in ("IdentityWire", "HaarEnv", "ClassicalMemory")]
     return all(r.passed for r in reports), {"max_violation": max(r.max_violation for r in reports)}
 

@@ -199,8 +199,8 @@ def moment_matrix(design: tuple[np.ndarray, ...], basis: np.ndarray) -> np.ndarr
     return m * (d * d - 1)
 
 
-def span_dimension(family, tol: float = 1e-8) -> int:
-    """Rank of the stacked vectorized operators, thresholded at tol*sigma_max.
+def span_dimension(family) -> int:
+    """Rank of the stacked vectorized operators, thresholded at 1e-8 * sigma_max.
 
     For Hermitian families the complex rank equals the dimension of the
     real-linear span.
@@ -212,7 +212,7 @@ def span_dimension(family, tol: float = 1e-8) -> int:
     s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > 1e-8 * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ class SpanBoundReport:
                 "all_match": self.all_match}
 
 
-def span_bound_reports(d: int, seed: int = 7, tol: float = 1e-8) -> SpanBoundReport:
+def span_bound_reports(d: int, seed: int = 7) -> SpanBoundReport:
     """Measured span dimensions of sampled unitary, sampled CPTP, and
     measure-and-prepare Choi families against the closed-form counts."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, d, 0x5BA2]))
@@ -309,8 +309,8 @@ def span_bound_reports(d: int, seed: int = 7, tol: float = 1e-8) -> SpanBoundRep
     cptp_fam = [random_cptp_choi(d, rng) for _ in range(n_cptp)]
     mp_fam = measure_prepare_chois(d)
     rows = [
-        SpanBoundRow("unitary", span_dimension(unitary_fam, tol), unitary_formula),
-        SpanBoundRow("cptp", span_dimension(cptp_fam, tol), cptp_formula),
-        SpanBoundRow("measure_prepare", span_dimension(mp_fam, tol), d ** 4),
+        SpanBoundRow("unitary", span_dimension(unitary_fam), unitary_formula),
+        SpanBoundRow("cptp", span_dimension(cptp_fam), cptp_formula),
+        SpanBoundRow("measure_prepare", span_dimension(mp_fam), d ** 4),
     ]
     return SpanBoundReport(d=d, rows=rows)

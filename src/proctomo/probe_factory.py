@@ -108,7 +108,7 @@ def lab_labels(lab: int, d: int) -> tuple[SpaceLabel, SpaceLabel]:
 # Block unitaries with a qubit ancilla
 # ---------------------------------------------------------------------------
 
-def block_unitary(k00, v, w, tol: float = DEFAULT_TOL) -> np.ndarray:
+def block_unitary(k00, v, w) -> np.ndarray:
     """Joint system-ancilla unitary with prescribed K00 block.
 
     Off-diagonal blocks are K01 = sqrt(I - K00 K00^dag) V and
@@ -120,11 +120,11 @@ def block_unitary(k00, v, w, tol: float = DEFAULT_TOL) -> np.ndarray:
     w = np.asarray(w, dtype=np.complex128)
     d = k00.shape[0]
     smax = float(np.linalg.norm(k00, 2))
-    if smax > 1.0 + tol:
+    if smax > 1.0 + DEFAULT_TOL:
         raise SingularValueExceedsOne(f"largest singular value {smax:.6f} exceeds one")
     eye = np.eye(d, dtype=np.complex128)
-    d_left = sqrt_psd(eye - k00 @ k00.conj().T, tol=max(tol, 1e-12))
-    d_right = sqrt_psd(eye - k00.conj().T @ k00, tol=max(tol, 1e-12))
+    d_left = sqrt_psd(eye - k00 @ k00.conj().T)
+    d_right = sqrt_psd(eye - k00.conj().T @ k00)
     u = np.zeros((d, 2, d, 2), dtype=np.complex128)  # K_mn = u[:, m, :, n]
     u[:, 0, :, 0] = k00
     u[:, 0, :, 1] = d_left @ v
@@ -456,8 +456,10 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
               "subsample_settings": subsample_settings, "seed": seed}
     n_settings = (d * d) ** (2 * n_labs)
     n_chosen = n_settings if subsample_settings is None else subsample_settings
-    if n_chosen > n_settings:
-        raise InvalidSetting("subsample larger than the full setting grid")
+    if not 1 <= n_chosen <= n_settings:
+        raise InvalidSetting(f"subsample of {n_chosen} settings is outside 1..{n_settings}")
+    if subsample_settings is not None and seed < 0:
+        raise InvalidSetting(f"subsample seed must be >= 0 (got {seed})")
     if n_chosen * 2 * 4 ** (n_labs - 1) > element_cap:
         raise OutOfBudget(f"family would hold {n_chosen * 2 * 4 ** (n_labs - 1)} elements "
                           f"(cap {element_cap}); subsample fewer settings")
@@ -501,7 +503,7 @@ GENERATORS = {Provenance.QUBIT16: qubit16_family, Provenance.UNITARY_ONLY: unita
 # Operator Schmidt rank across lab bipartitions
 # ---------------------------------------------------------------------------
 
-def operator_schmidt_rank(t, cut, tol: float = DEFAULT_TOL) -> int:
+def operator_schmidt_rank(t, cut) -> int:
     """Rank of the probe reshaped across a bipartition of the labs.
 
     cut is the set of lab indices on one side; both sides must be nonempty.
@@ -520,4 +522,4 @@ def operator_schmidt_rank(t, cut, tol: float = DEFAULT_TOL) -> int:
     s = np.linalg.svd(blocks, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > max(tol, 1e-12) * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_TOL * s[0]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import choi_link
-from .choi_link import CombDirection, CombReport, choi_of_unitary, link_product, validate_comb
+from .choi_link import choi_of_unitary, link_product
 from .errors import (
     DimMismatch,
     InvalidSpec,
@@ -27,7 +27,6 @@ from .errors import (
 from .op_basis import haar_unitary
 from .probe_factory import ProbeElement, ProbeFamily
 from .tensor_core import (
-    DEFAULT_TOL,
     LabeledOperator,
     Role,
     SpaceLabel,
@@ -36,6 +35,7 @@ from .tensor_core import (
 )
 
 NEGATIVITY_TOL = 1e-8
+SPEC_TOL = 1e-9  # unitarity, positivity, trace and Hermiticity of the spec's inputs
 
 PRESET_NAMES = ("IdentityWire", "MarkovDepolarizing", "ClassicalMemory", "HaarEnv")
 
@@ -55,6 +55,16 @@ def derive_rng(seed: int, *purpose) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Specifications and presets
 # ---------------------------------------------------------------------------
+
+def _is_psd(m: np.ndarray) -> bool:
+    """Hermitian with no eigenvalue below -SPEC_TOL."""
+    return (np.max(np.abs(m - m.conj().T)) <= SPEC_TOL
+            and np.linalg.eigvalsh(m)[0] >= -SPEC_TOL)
+
+
+def _is_state(m: np.ndarray, d: int) -> bool:
+    return m.shape == (d, d) and abs(np.trace(m) - 1.0) <= SPEC_TOL and _is_psd(m)
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -77,9 +87,15 @@ class ProcessSpec:
             chans = tuple(np.asarray(c, dtype=np.complex128) for c in self.channels)
             if len(chans) != n_steps:
                 raise InvalidSpec(f"need {n_steps} step channels, got {len(chans)}")
-            side = self.d_sys ** 2
-            if any(c.shape != (side, side) for c in chans):
-                raise InvalidSpec("step channels must be d_sys^2-dimensional Chois")
+            d = self.d_sys
+            for t, c in enumerate(chans):
+                if c.shape != (d * d, d * d):
+                    raise InvalidSpec("step channels must be d_sys^2-dimensional Chois")
+                if not _is_psd(c):
+                    raise InvalidSpec(f"step channel {t} is not Hermitian PSD")
+                out_traced = np.einsum("ikjk->ij", c.reshape(d, d, d, d))  # over (t + 1, I)
+                if np.max(np.abs(out_traced - np.eye(d))) > SPEC_TOL:
+                    raise InvalidSpec(f"step channel {t} is not trace preserving")
             object.__setattr__(self, "channels", chans)
             return
         us = tuple(np.asarray(u, dtype=np.complex128) for u in self.unitaries)
@@ -89,19 +105,13 @@ class ProcessSpec:
         for u in us:
             if u.shape != (dj, dj):
                 raise InvalidSpec(f"joint unitaries must be {dj}x{dj}")
-            if np.max(np.abs(u.conj().T @ u - np.eye(dj))) > 1e-9:
+            if np.max(np.abs(u.conj().T @ u - np.eye(dj))) > SPEC_TOL:
                 raise InvalidSpec("joint unitaries must be unitary within tolerance")
-        env = self.env_state
-        if self.d_env == 1:
-            env = np.array([[1.0 + 0j]])
-        elif env is None:
+        if self.d_env > 1 and self.env_state is None:
             raise InvalidSpec("env_state required when d_env > 1")
-        else:
-            env = np.asarray(env, dtype=np.complex128)
-            if env.shape != (self.d_env, self.d_env):
-                raise InvalidSpec("env_state has the wrong shape")
-            if abs(np.trace(env) - 1.0) > 1e-9 or np.linalg.eigvalsh((env + env.conj().T) / 2)[0] < -1e-9:
-                raise InvalidSpec("env_state must be a unit-trace PSD matrix")
+        env = np.asarray([[1.0]] if self.d_env == 1 else self.env_state, dtype=np.complex128)
+        if not _is_state(env, self.d_env):
+            raise InvalidSpec("env_state must be a unit-trace Hermitian PSD d_env state")
         object.__setattr__(self, "env_state", env)
         object.__setattr__(self, "unitaries", us)
 
@@ -162,7 +172,6 @@ class ProcessMatrix:
     n_labs: int
     d_sys: int
     interior: bool = False
-    comb_report: CombReport | None = None
 
     @property
     def mat(self) -> np.ndarray:
@@ -177,9 +186,10 @@ def _sys_in(t: int, d: int) -> SpaceLabel:
     return SpaceLabel(t, Role.INPUT, d)
 
 
-def build_process(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> ProcessMatrix:
+def build_process(spec: ProcessSpec) -> ProcessMatrix:
     """Link the environment state through the joint unitaries and trace the
-    final environment; returns the full process matrix with boundary wires."""
+    final environment; returns the full process matrix with boundary wires.
+    Nothing is validated: linking the spec's checked CPTP steps gives a comb."""
     d = spec.d_sys
     n = spec.n_labs
     if spec.channels is not None:
@@ -196,56 +206,46 @@ def build_process(spec: ProcessSpec, tol: float = DEFAULT_TOL) -> ProcessMatrix:
         # No later step shares the last environment wire: trace it before linking.
         steps[-1] = partial_trace(steps[-1], [env[n + 1]])
     w = canonicalize(functools.reduce(link_product, steps))
-    report = validate_comb(w, direction=CombDirection.PROCESS, tol=tol)
-    if not report.passed:
-        raise InvalidSpec(
-            f"constructed process fails comb validation "
-            f"(max violation {report.max_violation:.3e})")
-    return ProcessMatrix(w, n_labs=n, d_sys=d, interior=False, comb_report=report)
+    return ProcessMatrix(w, n_labs=n, d_sys=d, interior=False)
 
 
-def interior_only(w: ProcessMatrix, prep: np.ndarray | None = None,
-                  tol: float = DEFAULT_TOL) -> ProcessMatrix:
+def interior_only(w: ProcessMatrix, prep: np.ndarray | None = None) -> ProcessMatrix:
     """Contract the preparation wire with a fixed state and trace the final
-    measurement wire, leaving the matrix on the interior (I, O) factors."""
+    measurement wire, leaving the matrix on the interior (I, O) factors.
+    Only prep is checked: a comb contracted with a state stays a comb."""
     if w.interior:
         raise InvalidSpec("process matrix is already interior-only")
     d = w.d_sys
-    if prep is None:
-        prep = np.zeros((d, d), dtype=np.complex128)
-        prep[0, 0] = 1.0
-    prep = np.asarray(prep, dtype=np.complex128)
-    if prep.shape != (d, d) or abs(np.trace(prep) - 1.0) > 1e-9:
-        raise InvalidSpec("prep must be a unit-trace d_sys state")
+    prep = np.asarray(np.diag(np.eye(d)[0]) if prep is None else prep,  # |0><0| by default
+                      dtype=np.complex128)
+    if not _is_state(prep, d):
+        raise InvalidSpec("prep must be a unit-trace Hermitian PSD d_sys state")
     prep_op = LabeledOperator((_sys_out(0, d),), prep)
     contracted = link_product(prep_op, w.op)
     contracted = partial_trace(contracted, [_sys_in(w.n_labs + 1, d)])
-    out = canonicalize(contracted)
-    report = validate_comb(out, direction=CombDirection.PROCESS, tol=tol)
-    return ProcessMatrix(out, n_labs=w.n_labs, d_sys=d, interior=True, comb_report=report)
+    return ProcessMatrix(canonicalize(contracted), n_labs=w.n_labs, d_sys=d, interior=True)
 
 
 # ---------------------------------------------------------------------------
 # Born rule and sampling
 # ---------------------------------------------------------------------------
 
-def _checked_probability(val: complex, tol: float) -> float:
-    if abs(val.imag) > tol:
+def _checked_probability(val: complex) -> float:
+    if abs(val.imag) > NEGATIVITY_TOL:
         raise NegativeProbability(f"Born value has imaginary part {val.imag:.3e}")
-    if val.real < -tol:
-        raise NegativeProbability(f"Born probability {val.real:.3e} below -{tol}")
+    if val.real < -NEGATIVITY_TOL:
+        raise NegativeProbability(f"Born probability {val.real:.3e} below -{NEGATIVITY_TOL}")
     return max(float(val.real), 0.0)
 
 
-def born_probability(w: ProcessMatrix | LabeledOperator, probe,
-                     tol: float = NEGATIVITY_TOL) -> float:
+def born_probability(w: ProcessMatrix | LabeledOperator, probe) -> float:
     """p = Tr[W^T T] after permuting both operands to canonical label order."""
     wop = w.op if isinstance(w, ProcessMatrix) else w
     top = probe.choi if isinstance(probe, ProbeElement) else probe
     wop, top = canonicalize(wop), canonicalize(top)
     if wop.keys != top.keys:
         raise DimMismatch(f"process labels {wop.keys} do not match probe labels {top.keys}")
-    return _checked_probability(complex(np.sum(wop.mat * top.mat)), tol)
+    return _checked_probability(complex(np.sum(wop.mat * top.mat)))
 
 
 def born_probabilities(w, family: ProbeFamily) -> list[float]:
@@ -258,7 +258,7 @@ def born_probabilities(w, family: ProbeFamily) -> list[float]:
     if wop.keys != chois[0].keys:
         raise DimMismatch(f"process labels {wop.keys} do not match probe labels {chois[0].keys}")
     vals = np.stack([c.mat.reshape(-1) for c in chois]) @ wop.mat.reshape(-1)
-    return [_checked_probability(val, NEGATIVITY_TOL) for val in vals]
+    return [_checked_probability(val) for val in vals]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,10 @@ def operator_to_json(op: LabeledOperator) -> dict:
 
 
 def operator_from_json(data) -> LabeledOperator:
-    return LabeledOperator(labels_from_json(data["labels"]), pairs_to_matrix(data["matrix"]))
+    try:
+        return LabeledOperator(labels_from_json(data["labels"]), pairs_to_matrix(data["matrix"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad operator: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

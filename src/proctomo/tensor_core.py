@@ -191,8 +191,8 @@ def sqrt_psd(a: LabeledOperator | np.ndarray, tol: float = DEFAULT_TOL):
     return LabeledOperator(labels, root)
 
 
-def rank_and_pinv(a: LabeledOperator | np.ndarray, tol: float = DEFAULT_TOL):
-    """Moore-Penrose pseudoinverse with singular values <= tol*sigma_max dropped.
+def rank_and_pinv(a: LabeledOperator | np.ndarray):
+    """Moore-Penrose pseudoinverse with singular values <= DEFAULT_TOL*sigma_max dropped.
 
     Returns (rank, pinv) where pinv has the same labels as the input.
     """
@@ -203,7 +203,7 @@ def rank_and_pinv(a: LabeledOperator | np.ndarray, tol: float = DEFAULT_TOL):
         rank = 0
         pinv = np.zeros_like(mat.T)
     else:
-        keep = s > tol * s[0]
+        keep = s > DEFAULT_TOL * s[0]
         rank = int(np.count_nonzero(keep))
         inv = np.zeros_like(s)
         inv[keep] = 1.0 / s[keep]

@@ -42,10 +42,10 @@ class FrameBundle:
         return self.rank == self.dim
 
 
-def build_frame(family: ProbeFamily, tol: float = 1e-10) -> FrameBundle:
+def build_frame(family: ProbeFamily) -> FrameBundle:
     """Duals from one eigendecomposition of the Hermitian PSD frame operator.
 
-    Eigenvalues above tol * lambda_max are kept; they give the rank, the
+    Eigenvalues above 1e-10 * lambda_max are kept; they give the rank, the
     condition number (largest kept over smallest kept) and the pseudoinverse.
     """
     if len(family) == 0:
@@ -54,7 +54,7 @@ def build_frame(family: ProbeFamily, tol: float = 1e-10) -> FrameBundle:
     labels = chois[0].labels
     tvecs = np.stack([vec_matrix(c.mat) for c in chois])
     evals, evecs = np.linalg.eigh(tvecs.T @ tvecs.conj())
-    keep = evals > max(tol * evals[-1], 0.0)
+    keep = evals > max(1e-10 * evals[-1], 0.0)
     rank = int(np.count_nonzero(keep))
     kept = evals[keep]
     cond = float(kept[-1] / kept[0]) if rank else float("inf")
@@ -119,8 +119,7 @@ class ReconstructionReport:
         }
 
 
-def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False,
-                     tol: float = 1e-10) -> ReconstructionReport:
+def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False) -> ReconstructionReport:
     """Dual-frame estimate W_est = unvec(sum_a p_a D_a)^T = unvec(F^+ T^T p)^T, Hermitized.
 
     PSD and comb violations are reported, not repaired; project_psd=True
@@ -143,7 +142,7 @@ def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False,
     w_est = LabeledOperator(bundle.labels, w_mat)
     predicted = (bundle.tvecs.conj() @ vec_matrix(w_mat.T)).real
     resid = predicted - freqs
-    comb = validate_comb(w_est, direction=CombDirection.PROCESS, tol=tol)
+    comb = validate_comb(w_est, direction=CombDirection.PROCESS)
     psd_violation = float(max(0.0, -comb.min_eigenvalue))
     return ReconstructionReport(
         w_est=w_est,
@@ -158,14 +157,13 @@ def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False,
     )
 
 
-def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data,
-                        tol: float = 1e-8):
+def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data):
     """Expand a Hermitian observable in the probe family and evaluate the
     functional Tr[W^T O] from the same statistics used for tomography.
 
     Returns (value, coefficient map keyed by (setting, outcome), expansion
     residual). Raises OutsideSpan when the observable is not in the family's
-    span within tolerance.
+    span within a relative residual of 1e-8.
     """
     o = canonicalize(o)
     if o.labels != bundle.labels:
@@ -178,8 +176,8 @@ def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data,
     recon = bundle.tvecs.T @ coeffs
     scale = max(float(np.linalg.norm(ovec)), 1.0)
     residual = float(np.linalg.norm(recon - ovec)) / scale
-    if residual > tol:
-        raise OutsideSpan(f"expansion residual {residual:.3e} exceeds {tol}")
+    if residual > 1e-8:
+        raise OutsideSpan(f"expansion residual {residual:.3e} exceeds 1e-8")
     freqs = _frequencies(bundle, data)
     value = complex(np.dot(coeffs, freqs))
     coeff_map = {e.record_key: complex(c) for e, c in zip(bundle.family, coeffs)}

@@ -90,7 +90,7 @@ def test_c04_weyl_family_two_labs(weyl_n2, announce):
     worst_comb = 0.0
     for sid, elems in fam.settings().items():
         total = LabeledOperator(elems[0].choi.labels, sum(e.choi.mat for e in elems))
-        rep = validate_comb(total, direction=CombDirection.TESTER, tol=1e-10)
+        rep = validate_comb(total, direction=CombDirection.TESTER)
         worst_comb = max(worst_comb, rep.max_violation)
         assert rep.passed, f"setting {sid} violates tester comb by {rep.max_violation:.2e}"
 

@@ -259,3 +259,42 @@ def test_reconstruct_inconsistent_setting_exits_2(tmp_path, capsys, shots, chang
     (out / "records.json").write_text(json.dumps(records))
     assert run(["reconstruct", "--out", out]) == 2
     assert "setting MP:X" in capsys.readouterr().err
+
+
+def _edit_truth(change):
+    def corrupt(text):
+        w = json.loads(text)
+        change(w)
+        return json.dumps(w)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[: len(text) // 2],
+    _edit_truth(lambda w: w.pop("labels")),
+    _edit_truth(lambda w: w["matrix"].pop()),
+    _edit_truth(lambda w: w["labels"][0].update(dim=3)),
+    _edit_truth(lambda w: w["labels"][0].update(role="Bogus")),
+    _edit_truth(lambda w: w["matrix"][0][0].__setitem__(0, float("nan"))),
+], ids=["truncated", "no_labels", "wrong_shape", "dim_3", "bogus_role", "nan_entry"])
+def test_reconstruct_malformed_truth_exits_2(tmp_path, capsys, corrupt):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    truth = out / "w_true.json"
+    truth.write_text(corrupt(truth.read_text()))
+    assert run(["reconstruct", "--out", out]) == 2
+    assert "error: bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--subsample", -1], ["--subsample", 0], ["--subsample", 3, "--seed", -1],
+], ids=["negative", "zero", "negative_seed"])
+def test_simulate_invalid_subsample_exits_2(tmp_path, capsys, flags):
+    assert run(["simulate", "--labs", 2, *flags, "--out", tmp_path / "run"]) == 2
+    assert "error: subsample" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_seed_without_subsample(tmp_path):
+    assert run(["simulate", "--family", "weyl_ancilla", "--seed", -5,
+                "--out", tmp_path / "run"]) == 0

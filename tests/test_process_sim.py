@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from proctomo.choi_link import bell_matrix, choi_of_unitary, link_product
+from proctomo import choi_link, cli, process_sim
+from proctomo.choi_link import bell_matrix, choi_of_unitary, link_product, validate_comb
 from proctomo.errors import (
     DimMismatch,
     InvalidSpec,
@@ -9,7 +10,7 @@ from proctomo.errors import (
     NotNormalizedSetting,
     UnknownPreset,
 )
-from proctomo.op_basis import haar_state
+from proctomo.op_basis import haar_state, haar_unitary
 from proctomo.probe_factory import (
     KET0,
     AncillaProbeSetting,
@@ -21,6 +22,7 @@ from proctomo.probe_factory import (
     weyl_lab_unitaries,
 )
 from proctomo.process_sim import (
+    PRESET_NAMES,
     ProcessSpec,
     born_probability,
     born_probabilities,
@@ -47,7 +49,7 @@ def test_identity_wire_is_bell_chain():
     assert np.max(np.abs(w.mat - np.kron(bell_matrix(2), bell_matrix(2)))) < 1e-12
     assert [l.key for l in w.op.labels] == [
         (0, Role.OUTPUT), (1, Role.INPUT), (1, Role.OUTPUT), (2, Role.INPUT)]
-    assert w.comb_report.passed
+    assert validate_comb(w.op).passed
 
 
 def test_depolarizing_zero_matches_identity_wire():
@@ -67,13 +69,13 @@ def test_haar_env_seeded_determinism():
 def test_haar_env_psd_comb_trace():
     w = build_process(preset_process("HaarEnv", 2, 2, seed=3))
     assert np.linalg.eigvalsh((w.mat + w.mat.conj().T) / 2)[0] >= -1e-10
-    assert w.comb_report.passed
+    assert validate_comb(w.op).passed
     assert abs(np.trace(w.mat) - 2 ** 3) < 1e-9  # d_sys^(#outputs), N+1 outputs
 
 
 def test_classical_memory_comb():
     w = build_process(preset_process("ClassicalMemory", 2, 2))
-    assert w.comb_report.passed
+    assert validate_comb(w.op).passed
 
 
 def test_unknown_preset():
@@ -86,6 +88,69 @@ def test_spec_validation():
         ProcessSpec(1, 2, d_env=1, unitaries=(np.eye(2),))  # wrong count
     with pytest.raises(InvalidSpec):
         ProcessSpec(1, 2, d_env=1, unitaries=(np.diag([1.0, 2.0]),) * 2)
+
+
+def _channel_spec(bad_step):
+    return ProcessSpec(1, 2, channels=(bell_matrix(2), bad_step))
+
+
+@pytest.mark.parametrize("make, message", [
+    # the transpose map: trace preserving, but its Choi is the swap, eigenvalue -1
+    (lambda rng: _channel_spec(np.eye(4)[[0, 2, 1, 3]]), "step channel 1 is not Hermitian PSD"),
+    (lambda rng: _channel_spec(bell_matrix(2) - 0.3 * np.eye(4)), "step channel 1 is not Hermitian PSD"),
+    (lambda rng: _channel_spec(2 * bell_matrix(2)), "step channel 1 is not trace preserving"),
+    (lambda rng: ProcessSpec(1, 2, d_env=2, env_state=[[0.5, 0.1], [-0.1, 0.5]],
+                             unitaries=(haar_unitary(4, rng), haar_unitary(4, rng))),
+     "env_state must be a unit-trace Hermitian PSD"),
+], ids=["transpose_channel", "non_psd_channel", "non_tp_channel", "non_hermitian_env"])
+def test_spec_rejects_invalid_steps(rng, make, message):
+    with pytest.raises(InvalidSpec, match=message):
+        make(rng)
+
+
+@pytest.mark.parametrize("prep", [np.diag([1.5, -0.5]), np.array([[0.5, 0.2], [-0.2, 0.5]])],
+                         ids=["negative", "non_hermitian"])
+def test_interior_rejects_invalid_prep(prep):
+    w = build_process(preset_process("IdentityWire", 1, 2))
+    with pytest.raises(InvalidSpec, match="prep must be"):
+        interior_only(w, prep)
+
+
+PRESET_GRID = [(name, n, d, p) for n, d in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
+               for name in PRESET_NAMES
+               for p in ((0.0, 0.5, 1.0) if name == "MarkovDepolarizing" else (0.5,))]
+
+
+@pytest.mark.parametrize("name, n_labs, d, p", PRESET_GRID)
+def test_preset_full_w_is_comb(name, n_labs, d, p):
+    # the link product of CPTP steps is a comb, so build_process need not check it
+    report = validate_comb(build_process(preset_process(name, n_labs, d, seed=11, p=p)).op)
+    assert report.passed, report.summary()
+
+
+@pytest.fixture
+def comb_checks(monkeypatch):
+    """Operators passed to validate_comb from any module of the package."""
+    seen = []
+
+    def spy(w, *args, **kwargs):
+        seen.append(w)
+        return validate_comb(w, *args, **kwargs)
+    for module in (choi_link, process_sim):
+        monkeypatch.setattr(module, "validate_comb", spy, raising=False)
+    return seen
+
+
+def test_build_process_does_not_validate(comb_checks):
+    interior_only(build_process(preset_process("HaarEnv", 2, 2, seed=3)))
+    assert comb_checks == []
+
+
+def test_simulate_validates_only_the_interior_w(tmp_path, comb_checks):
+    assert cli.main(["simulate", "--labs", "2", "--subsample", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert [w.keys for w in comb_checks] == [
+        ((1, Role.INPUT), (1, Role.OUTPUT), (2, Role.INPUT), (2, Role.OUTPUT))]
 
 
 def test_env_identity_splice_invariance(rng):
@@ -131,7 +196,7 @@ def test_interior_identity_wire_gives_prep_state(rng):
     wi = interior_only(w, rho)
     assert wi.interior
     assert np.max(np.abs(wi.mat - np.kron(rho, np.eye(2)))) < 1e-12
-    assert wi.comb_report.passed
+    assert validate_comb(wi.op).passed
     with pytest.raises(InvalidSpec):
         interior_only(wi)
 
