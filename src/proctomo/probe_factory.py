@@ -468,8 +468,11 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
         rng = np.random.default_rng(np.random.SeedSequence([seed, n_labs, d, 0x7E2]))
         chosen = sorted(rng.choice(n_settings, size=subsample_settings, replace=False).tolist())
 
-    if n_labs == 1:
+    if n_labs == 1:  # the same ops as measure_prepare_joint_unitary, each piece built once
         states = op_basis.tomography_state_vectors(d)
+        cx = controlled_flip(d)
+        prepared = [np.kron(unitary_with_first_column(psi), PAULI_I) @ cx for psi in states]
+        measured = [np.kron(unitary_with_first_column(a).conj().T, PAULI_I) for a in states]
     else:  # a lab unitary depends only on its position and (mu, nu): build each once, on use
         lab_unitary = functools.cache(lambda *key: block_unitary(*weyl_block_spec(d, *key)))
     theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
@@ -477,7 +480,7 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     for s_idx in chosen:
         if n_labs == 1:
             effect, prep = divmod(s_idx, d * d)
-            us = (measure_prepare_joint_unitary(states[effect], states[prep]),)
+            us = (prepared[prep] @ measured[effect],)
         else:
             pairs = _decode_setting(s_idx, n_labs, d)
             us = tuple(lab_unitary(_position(t, n_labs), mu, nu)

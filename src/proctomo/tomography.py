@@ -1,49 +1,96 @@
 """Frame operator, dual frame, linear-inversion reconstruction, functional
 estimation, and reconstruction-quality metrics.
 
-The generalized Born rule reads p_a = Tr[W^T T_a]; duals are built from the
-plain frame F = sum |T_a><T_a| and the single transpose is applied when the
-reconstructed vector is reshaped back to a matrix, never inside the frame.
+The generalized Born rule reads p_a = Tr[W^T T_a]. Every probe Choi T_a and
+W^T are Hermitian, so the estimator is a real least-squares problem: each
+Hermitian matrix of side s has s^2 orthonormal real coordinates
+(`hermitian_coords`), in which Tr[AB] is the dot product and p = R x with row
+a of R the coordinates of T_a and x those of W^T. The frame G = R^T R is real
+symmetric; one `eigh` of it gives the rank, the condition number and the
+pseudo-inverse used by every estimate. The single transpose is applied when x
+is mapped back to a matrix, never inside the frame.
 """
 
 import collections
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choi_link import CombDirection, unvec_matrix, validate_comb, vec_matrix
+from .choi_link import CombDirection, validate_comb, vec_matrix
 from .errors import DimMismatch, EmptyFamily, MissingData, NotIC, OutsideSpan, UnexpectedRecord
 from .probe_factory import ProbeFamily
 from .process_sim import ExperimentRecord
 from .tensor_core import LabeledOperator, canonicalize, permute_systems, sqrt_psd
 
 
+def hermitian_coords(mats: np.ndarray) -> np.ndarray:
+    """Orthonormal real coordinates (..., s, s) -> (..., s^2) of Hermitian
+    matrices: the diagonal, then sqrt2 Re and sqrt2 Im of the strict upper
+    triangle, so that <r(A), r(B)> = Tr[AB]."""
+    rows, cols = np.triu_indices(mats.shape[-1], 1)
+    upper = mats[..., rows, cols] * np.sqrt(2)
+    return np.concatenate([np.diagonal(mats, axis1=-2, axis2=-1).real,
+                           upper.real, upper.imag], axis=-1)
+
+
+def hermitian_from_coords(x: np.ndarray, side: int) -> np.ndarray:
+    """The Hermitian matrices (..., s, s) with coordinates x (..., s^2)."""
+    rows, cols = np.triu_indices(side, 1)
+    k = rows.size
+    upper = (x[..., side:side + k] + 1j * x[..., side + k:]) / np.sqrt(2)
+    mats = np.zeros(x.shape[:-1] + (side, side), dtype=np.complex128)
+    mats[..., rows, cols] = upper
+    mats[..., cols, rows] = upper.conj()
+    mats[..., np.arange(side), np.arange(side)] = x[..., :side]
+    return mats
+
+
 @dataclass(frozen=True)
 class FrameBundle:
     family: ProbeFamily
-    tvecs: np.ndarray          # row a = vec(T_a)
-    fpinv: np.ndarray          # F^+, F = sum |T_a><T_a|
-    rank: int
+    coords: np.ndarray         # row a = hermitian_coords(T_a), M x D real
+    evals: np.ndarray          # kept eigenvalues of G = R^T R, ascending
+    evecs: np.ndarray          # their eigenvectors, D x rank
     condition_number: float
     labels: tuple
 
     @property
     def dim(self) -> int:
-        return self.tvecs.shape[1]
+        return self.coords.shape[1]
 
-    @functools.cached_property
-    def duals(self) -> np.ndarray:
-        """Row a = F^+ vec(T_a); built on first use."""
-        return (self.fpinv @ self.tvecs.T).T
+    @property
+    def rank(self) -> int:
+        return self.evals.size
+
+    @property
+    def side(self) -> int:
+        return math.isqrt(self.dim)
 
     @property
     def is_complete(self) -> bool:
         return self.rank == self.dim
 
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """G^+ y over the kept eigenpairs; y is (D,) or (D, n)."""
+        return self.evecs @ ((self.evecs.T @ y).T / self.evals).T
+
+    @functools.cached_property
+    def tvecs(self) -> np.ndarray:
+        """Row a = vec(T_a), complex; built on first use."""
+        return np.stack([vec_matrix(canonicalize(e.choi).mat) for e in self.family])
+
+    @functools.cached_property
+    def duals(self) -> np.ndarray:
+        """Row a = vec(D_a) with D_a = F^+ T_a, complex; built on first use."""
+        mats = hermitian_from_coords(self.solve(self.coords.T).T, self.side)
+        return mats.transpose(0, 2, 1).reshape(len(mats), -1)
+
 
 def build_frame(family: ProbeFamily) -> FrameBundle:
-    """Duals from one eigendecomposition of the Hermitian PSD frame operator.
+    """Real coordinates of the probes and one eigendecomposition of the real
+    symmetric frame G = R^T R.
 
     Eigenvalues above 1e-10 * lambda_max are kept; they give the rank, the
     condition number (largest kept over smallest kept) and the pseudoinverse.
@@ -51,24 +98,21 @@ def build_frame(family: ProbeFamily) -> FrameBundle:
     if len(family) == 0:
         raise EmptyFamily("cannot build a frame from an empty family")
     chois = [canonicalize(e.choi) for e in family]
-    labels = chois[0].labels
-    tvecs = np.stack([vec_matrix(c.mat) for c in chois])
-    evals, evecs = np.linalg.eigh(tvecs.T @ tvecs.conj())
+    coords = hermitian_coords(np.stack([c.mat for c in chois]))
+    evals, evecs = np.linalg.eigh(coords.T @ coords)
     keep = evals > max(1e-10 * evals[-1], 0.0)
-    rank = int(np.count_nonzero(keep))
     kept = evals[keep]
-    cond = float(kept[-1] / kept[0]) if rank else float("inf")
-    basis = evecs[:, keep]
-    fpinv = (basis / kept) @ basis.conj().T
-    return FrameBundle(family=family, tvecs=tvecs, fpinv=fpinv, rank=rank,
-                       condition_number=cond, labels=labels)
+    cond = float(kept[-1] / kept[0]) if kept.size else float("inf")
+    return FrameBundle(family=family, coords=coords, evals=kept, evecs=evecs[:, keep],
+                       condition_number=cond, labels=chois[0].labels)
 
 
 def dual_identity_check(bundle: FrameBundle) -> float:
-    """Operator-norm residual of sum_a |D_a><T_a| minus the identity."""
+    """Operator-norm residual of sum_a |D_a><T_a| minus the identity, in real
+    coordinates: G^+ G - I."""
     if not bundle.is_complete:
         raise NotIC(f"frame rank {bundle.rank} < dimension {bundle.dim}")
-    resolution = bundle.duals.T @ bundle.tvecs.conj()
+    resolution = bundle.solve(bundle.coords.T @ bundle.coords)
     return float(np.linalg.norm(resolution - np.eye(bundle.dim), 2))
 
 
@@ -120,16 +164,16 @@ class ReconstructionReport:
 
 
 def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False) -> ReconstructionReport:
-    """Dual-frame estimate W_est = unvec(sum_a p_a D_a)^T = unvec(F^+ T^T p)^T, Hermitized.
+    """Dual-frame estimate W_est = unvec(sum_a p_a D_a)^T, solved in real
+    coordinates as x = G^+ R^T p; the estimate is Hermitian by construction.
 
     PSD and comb violations are reported, not repaired; project_psd=True
     additionally clamps negative eigenvalues and rescales the trace, clearly a
     post-processing step outside plain linear inversion.
     """
     freqs = _frequencies(bundle, data)
-    x = bundle.fpinv @ (bundle.tvecs.T @ freqs)  # vec of W^T estimate
-    w_raw = unvec_matrix(x).T
-    w_mat = (w_raw + w_raw.conj().T) / 2
+    x = bundle.solve(bundle.coords.T @ freqs)  # coordinates of the W^T estimate
+    w_mat = hermitian_from_coords(x, bundle.side).T
     projected = False
     if project_psd:
         tr = np.trace(w_mat).real
@@ -138,10 +182,10 @@ def linear_inversion(bundle: FrameBundle, data, project_psd: bool = False) -> Re
         w_mat = (vecs * clipped) @ vecs.conj().T
         if np.trace(w_mat).real > 0 and tr > 0:
             w_mat *= tr / np.trace(w_mat).real
+        x = hermitian_coords(w_mat.T)
         projected = True
     w_est = LabeledOperator(bundle.labels, w_mat)
-    predicted = (bundle.tvecs.conj() @ vec_matrix(w_mat.T)).real
-    resid = predicted - freqs
+    resid = bundle.coords @ x - freqs
     comb = validate_comb(w_est, direction=CombDirection.PROCESS)
     psd_violation = float(max(0.0, -comb.min_eigenvalue))
     return ReconstructionReport(
@@ -163,7 +207,8 @@ def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data):
 
     Returns (value, coefficient map keyed by (setting, outcome), expansion
     residual). Raises OutsideSpan when the observable is not in the family's
-    span within a relative residual of 1e-8.
+    span within a relative residual of 1e-8. A non-Hermitian O = H + iK is
+    expanded through H and K, which gives complex coefficients.
     """
     o = canonicalize(o)
     if o.labels != bundle.labels:
@@ -171,17 +216,20 @@ def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data):
             o = permute_systems(o, bundle.labels)
         except Exception as exc:
             raise DimMismatch(f"observable labels {o.keys} vs frame {bundle.labels}") from exc
-    ovec = vec_matrix(o.mat)
-    coeffs = (bundle.duals @ ovec.conj()).conj()  # conj(D) o without copying D
-    recon = bundle.tvecs.T @ coeffs
-    scale = max(float(np.linalg.norm(ovec)), 1.0)
-    residual = float(np.linalg.norm(recon - ovec)) / scale
+    herm, skew = (o.mat + o.mat.conj().T) / 2, (o.mat - o.mat.conj().T) / 2j  # O = H + iK
+    parts = hermitian_coords(np.stack([herm, skew] if np.any(skew) else [herm]))
+    # one matrix-vector product per part: c_a = Tr[D_a H] (and Tr[D_a K])
+    coeffs = np.stack([bundle.coords @ bundle.solve(v) for v in parts])
+    recon = np.stack([c @ bundle.coords for c in coeffs])
+    scale = max(float(np.linalg.norm(parts)), 1.0)
+    residual = float(np.linalg.norm(recon - parts)) / scale
     if residual > 1e-8:
         raise OutsideSpan(f"expansion residual {residual:.3e} exceeds 1e-8")
     freqs = _frequencies(bundle, data)
-    value = complex(np.dot(coeffs, freqs))
-    coeff_map = {e.record_key: complex(c) for e, c in zip(bundle.family, coeffs)}
-    return float(value.real), coeff_map, residual
+    value = float(coeffs[0] @ freqs)
+    complex_coeffs = coeffs[0] + 1j * coeffs[1] if len(coeffs) > 1 else coeffs[0]
+    coeff_map = {e.record_key: complex(c) for e, c in zip(bundle.family, complex_coeffs.tolist())}
+    return value, coeff_map, residual
 
 
 def reconstruction_metrics(w_true, w_est) -> dict:

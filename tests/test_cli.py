@@ -137,6 +137,18 @@ def test_pipeline_determinism(tmp_path):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
 
 
+@pytest.mark.parametrize("labs, dim, shots", [(1, 3, 1000), (2, 2, 0)])
+def test_weyl_pipeline_determinism(tmp_path, labs, dim, shots):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    args = ["--preset", "HaarEnv", "--family", "weyl_ancilla", "--labs", labs, "--dim", dim,
+            "--shots", shots, "--seed", 7]
+    for out in (out_a, out_b):
+        assert run(["simulate", "--out", out] + args) == 0
+        assert run(["reconstruct", "--out", out] + args) == 0
+    for name in ARTIFACTS + ("report.json",):
+        assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+
+
 def test_export_circuits(tmp_path):
     out = tmp_path / "circ"
     assert run(["export-circuits", "--labs", 1, "--dim", 2, "--out", out]) == 0

@@ -399,6 +399,16 @@ def test_weyl_family_builds_only_the_lab_unitaries_it_uses(monkeypatch):
     assert len(fam) == 8 and len(calls) <= 2
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_lab_circuits_equal_the_single_circuit_builder(d):
+    states = tomography_state_vectors(d)
+    fam = weyl_ancilla_family(1, d)
+    assert len(fam.settings()) == d ** 4
+    for e in fam:
+        u = measure_prepare_joint_unitary(states[e.meta["effect"]], states[e.meta["prep"]])
+        assert np.array_equal(e.circuit.lab_unitaries[0], u)
+
+
 def test_single_lab_subsample_is_honoured():
     full = {e.record_key: e for e in weyl_ancilla_family(1, 2)}
     fam = weyl_ancilla_family(1, 2, subsample_settings=3, seed=4)

@@ -28,6 +28,8 @@ from proctomo.tomography import (
     build_frame,
     dual_identity_check,
     estimate_functional,
+    hermitian_coords,
+    hermitian_from_coords,
     linear_inversion,
     reconstruction_metrics,
 )
@@ -76,6 +78,38 @@ def test_frame_matches_svd_pseudoinverse(qubit16, weyl_n2):
             w_ref = (f @ dual_rows).reshape(w.mat.shape, order="F").T
             w_ref = (w_ref + w_ref.conj().T) / 2
             assert np.max(np.abs(est - w_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("side", [4, 36])
+def test_hermitian_coords_are_an_isometry(rng, side):
+    a, b = random_hermitian(rng, side), random_hermitian(rng, side)
+    ra, rb = hermitian_coords(a), hermitian_coords(b)
+    assert ra.shape == (side * side,) and ra.dtype == np.float64
+    assert np.max(np.abs(hermitian_from_coords(ra, side) - a)) <= 1e-14 * np.max(np.abs(a))
+    assert abs(ra @ rb - np.trace(a @ b).real) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+    batch = hermitian_coords(np.stack([a, b]))
+    assert np.array_equal(batch, np.stack([ra, rb]))
+    assert np.array_equal(hermitian_from_coords(batch, side)[1], hermitian_from_coords(rb, side))
+
+
+def test_frame_matches_complex_svd_at_high_condition_number(qubit16):
+    """The real frame against the complex frame F = sum |T_a><T_a|, inverted by
+    SVD, up to N=1 d=4 where the condition number is about 5e3."""
+    for d, family in ((2, qubit16), (3, weyl_ancilla_family(1, 3)), (4, weyl_ancilla_family(1, 4))):
+        bundle = build_frame(family)
+        frame = bundle.tvecs.T @ bundle.tvecs.conj()
+        rank, fpinv = rank_and_pinv(frame)
+        s = np.linalg.svd(frame, compute_uv=False)
+        assert bundle.rank == rank == d ** 4
+        assert abs(bundle.condition_number / (s[0] / s[rank - 1]) - 1) <= 1e-9
+        w = interior_only(build_process(preset_process("HaarEnv", 1, d, seed=4)))
+        for shots in (0, 1000):
+            records = sample_shots(w, family, shots, seed=2)
+            est = linear_inversion(bundle, records).w_est.mat
+            f = np.array([r.frequency() for r in records])
+            w_ref = (fpinv @ (bundle.tvecs.T @ f)).reshape(w.mat.shape, order="F").T
+            assert np.max(np.abs(est - w_ref)) <= 1e-12
+        assert np.array_equal(est, est.conj().T)
 
 
 def test_frame_empty():
@@ -172,6 +206,17 @@ def test_estimate_functional_random_hermitian(rng, qubit16, qubit16_bundle):
         direct = float(np.trace(w.mat.T @ o.mat).real)
         assert abs(value - direct) < 1e-8
         assert residual < 1e-10
+
+
+def test_estimate_functional_non_hermitian(rng, qubit16, qubit16_bundle):
+    w, records = exact_records("HaarEnv", 1, qubit16)
+    o = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    value, coeffs, residual = estimate_functional(LabeledOperator(qubit16_bundle.labels, o),
+                                                  qubit16_bundle, records)
+    assert abs(value - np.trace(w.mat.T @ o).real) < 1e-10
+    assert residual < 1e-10
+    recon = sum(coeffs[e.record_key] * e.choi.mat for e in qubit16)
+    assert np.max(np.abs(recon - o)) < 1e-10
 
 
 def test_estimate_functional_consistent_with_inversion(qubit16, qubit16_bundle, rng):
