@@ -52,8 +52,7 @@ class RunConfig:
         if self.preset not in process_sim.PRESET_NAMES:
             raise ConfigError(f"preset must be one of {process_sim.PRESET_NAMES} "
                               f"(got {self.preset!r})")
-        if self.family not in ("auto", "qubit16", "weyl_ancilla", "unitary_only",
-                               "measure_prepare"):
+        if self.family not in ("auto", "qubit16", "weyl_ancilla", "unitary_only"):
             raise ConfigError(f"family {self.family!r} is not recognised")
         if self.prep not in ("zero", "maximally_mixed"):
             raise ConfigError(f"prep must be zero or maximally_mixed (got {self.prep!r})")
@@ -105,10 +104,6 @@ def _build_family(cfg: RunConfig) -> probe_factory.ProbeFamily:
         if cfg.dim != 2 or cfg.labs != 1:
             raise ConfigError("family unitary_only requires dim=2 and labs=1")
         return probe_factory.unitary_only_family()
-    if choice == "measure_prepare":
-        if cfg.labs != 1:
-            raise ConfigError("family measure_prepare requires labs=1")
-        return probe_factory.measure_prepare_family(cfg.dim, element_cap=cfg.family_cap)
     return probe_factory.weyl_ancilla_family(cfg.labs, cfg.dim,
                                          element_cap=cfg.family_cap,
                                          subsample_settings=cfg.subsample,

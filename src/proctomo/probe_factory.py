@@ -12,7 +12,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class Provenance(enum.Enum):
     QUBIT16 = "Qubit16"
     WEYL_ANCILLA = "WeylAncilla"
     UNITARY_ONLY = "UnitaryOnly"
-    MEASURE_PREPARE = "MeasurePrepare"
     CUSTOM = "Custom"
 
 
@@ -60,7 +59,6 @@ class ProbeElement:
     setting_id: str
     outcome: str
     choi: LabeledOperator
-    meta: dict = field(default_factory=dict)
     circuit: "AncillaProbeSetting | None" = None  # built from; shared by the setting's outcomes
 
     @property
@@ -196,8 +194,7 @@ def measure_prepare_instrument(a_effect, psi_prep, lab: int = 1,
             raise NotNormalized(f"{name} has norm {np.linalg.norm(s):.6f}")
     if setting_id is None:
         setting_id = f"mp(a={np.round(a, 6)},psi={np.round(psi, 6)})"
-    return tuple(_circuit_probes(setting_id, [(str(m), {"kind": "measure_prepare_circuit",
-                                                        "outcome": m}) for m in (0, 1)],
+    return tuple(_circuit_probes(setting_id, ("0", "1"),
                                  (measure_prepare_joint_unitary(a, psi),), lab=lab))
 
 
@@ -232,8 +229,7 @@ def unitary_only_family(lab: int = 1) -> ProbeFamily:
     """The ten deterministic single-qubit probes as one-outcome settings: the
     circuit applies U to the system and leaves the ancilla in |0>."""
     elems = [e for name, u in QUBIT16_UNITARIES
-             for e in _circuit_probes(f"U:{name}", [("0", {"kind": "unitary", "name": name})],
-                                      (np.kron(u, PAULI_I),), lab=lab)]
+             for e in _circuit_probes(f"U:{name}", ("0",), (np.kron(u, PAULI_I),), lab=lab)]
     return ProbeFamily(tuple(elems), Provenance.UNITARY_ONLY, {"lab": lab})
 
 
@@ -251,39 +247,8 @@ def qubit16_family(lab: int = 1) -> ProbeFamily:
     for basis_name, (plus, minus) in _PAULI_EIGENVECTORS.items():
         w = np.stack([plus, minus], axis=1)
         u = (np.kron(PAULI_I, w.conj().T) @ swap @ np.kron(PAULI_I, w),)
-        elems += _circuit_probes(f"MP:{basis_name}", [(sign, {
-            "kind": "measure_prepare", "basis": basis_name, "outcome": sign}) for sign in "+-"],
-            u, lab=lab)
+        elems += _circuit_probes(f"MP:{basis_name}", ("+", "-"), u, lab=lab)
     return ProbeFamily(tuple(elems), Provenance.QUBIT16, {"lab": lab})
-
-
-def measure_prepare_family(d: int = 2, lab: int = 1, element_cap: int = 20000) -> ProbeFamily:
-    """Measure-and-prepare probes over the d^2 x d^2 state-tomography grid,
-    with the complementary outcome completing each setting to an instrument.
-
-    The complement (I - |a><a|)^T (x) |psi><psi| has rank d - 1, so no single
-    qubit-ancilla circuit gives it and the elements carry no circuit.
-    Exceeding element_cap raises OutOfBudget before any element is built.
-    """
-    if 2 * d ** 4 > element_cap:
-        raise OutOfBudget(f"family would hold {2 * d ** 4} elements (cap {element_cap})")
-    labels = lab_labels(lab, d)
-    states = op_basis.tomography_state_vectors(d)
-    elems = []
-    eye = np.eye(d, dtype=np.complex128)
-    for i, a in enumerate(states):
-        proj = np.outer(a, a.conj())
-        for j, psi in enumerate(states):
-            prep = np.outer(psi, psi.conj())
-            sid = f"MP:{i}:{j}"
-            elems.append(ProbeElement(sid, "0",
-                                      LabeledOperator(labels, np.kron(proj.T, prep)),
-                                      meta={"effect": i, "prep": j}))
-            elems.append(ProbeElement(sid, "1",
-                                      LabeledOperator(labels, np.kron((eye - proj).T, prep)),
-                                      meta={"effect": i, "prep": j, "complement": True}))
-    return ProbeFamily(tuple(elems), Provenance.MEASURE_PREPARE,
-                       {"d": d, "lab": lab, "element_cap": element_cap})
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +317,11 @@ def ancilla_superinstrument(setting: AncillaProbeSetting,
 def _circuit_probes(setting_id: str, outcomes, lab_unitaries, thetas=(),
                     lab: int = 1) -> list[ProbeElement]:
     """The family elements of the circuit |0> -> lab unitaries -> Z readout;
-    outcomes[m] = (label, meta) names ancilla outcome m, and outcomes not
-    listed are dropped. Every element holds the one circuit."""
+    outcomes[m] labels ancilla outcome m, and outcomes not listed are
+    dropped. Every element holds the one circuit."""
     circuit = AncillaProbeSetting(KET0, lab_unitaries, thetas)
-    return [ProbeElement(setting_id, label, choi, meta, circuit)
-            for (label, meta), choi in zip(outcomes, ancilla_superinstrument(circuit, lab))]
+    return [ProbeElement(setting_id, label, choi, circuit)
+            for label, choi in zip(outcomes, ancilla_superinstrument(circuit, lab))]
 
 
 def phase_filter(samples, links: int = 1) -> np.ndarray:
@@ -482,23 +447,15 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
             effect, prep = divmod(s_idx, d * d)
             us = (prepared[prep] @ measured[effect],)
         else:
-            pairs = _decode_setting(s_idx, n_labs, d)
             us = tuple(lab_unitary(_position(t, n_labs), mu, nu)
-                       for t, (mu, nu) in enumerate(pairs, start=1))
+                       for t, (mu, nu) in enumerate(_decode_setting(s_idx, n_labs, d), start=1))
         for t_idx, thetas in enumerate(theta_combos):
-            if n_labs == 1:
-                sid, outcomes = f"wa:s{s_idx}", [
-                    (str(m), {"effect": effect, "prep": prep}) for m in (0, 1)]
-            else:
-                sid, outcomes = f"wa:s{s_idx}:th{t_idx}", [(str(m), {
-                    "pairs": [list(p) for p in pairs], "thetas": list(thetas), "outcome": m})
-                    for m in (0, 1)]
-            elems += _circuit_probes(sid, outcomes, us, thetas)
+            sid = f"wa:s{s_idx}" if n_labs == 1 else f"wa:s{s_idx}:th{t_idx}"
+            elems += _circuit_probes(sid, ("0", "1"), us, thetas)
     return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
 
 
 GENERATORS = {Provenance.QUBIT16: qubit16_family, Provenance.UNITARY_ONLY: unitary_only_family,
-              Provenance.MEASURE_PREPARE: measure_prepare_family,
               Provenance.WEYL_ANCILLA: weyl_ancilla_family}
 
 

@@ -3,6 +3,10 @@
 Complex matrices serialize as row-major arrays of [re, im] pairs together with
 a labels header of {lab, role, dim} records. Floats go through repr, so a
 parse -> serialize round trip is bit-identical.
+
+A probe family is stored as its generator's recipe in a header line, then one
+{setting, outcome} line per element; reading regenerates the family and checks
+each line. A hand-built family has no recipe and cannot be stored.
 """
 
 import csv
@@ -52,31 +56,22 @@ def operator_from_json(data) -> LabeledOperator:
 # ---------------------------------------------------------------------------
 
 def element_id_json(e: ProbeElement) -> dict:
-    meta = {"meta": e.meta} if e.meta else {}
-    return {"setting": e.setting_id, "outcome": e.outcome, **meta}
-
-
-def element_to_json(e: ProbeElement) -> dict:
-    return {**element_id_json(e), **operator_to_json(e.choi)}
-
-
-def element_from_json(data) -> ProbeElement:
-    return ProbeElement(str(data["setting"]), str(data["outcome"]),
-                        operator_from_json(data), dict(data.get("meta", {})))
+    return {"setting": e.setting_id, "outcome": e.outcome}
 
 
 def family_to_jsonl(family: ProbeFamily) -> str:
-    """Header line with the generator's recipe, then one line per element; a
-    family without a recipe (hand-built) also writes each Choi matrix."""
+    """Header line with the generator's recipe, then one line per element.
+    A family without a recipe (hand-built) raises InvalidSetting."""
+    if family.recipe is None:
+        raise InvalidSetting("only a generated family can be saved; this one has no recipe")
     header = {"type": "probe_family", "provenance": family.provenance.value,
               "count": len(family), "recipe": family.recipe}
-    line = element_to_json if family.recipe is None else element_id_json
-    return "\n".join([json.dumps(header)] + [json.dumps(line(e)) for e in family]) + "\n"
+    return "\n".join(json.dumps(x) for x in [header, *map(element_id_json, family)]) + "\n"
 
 
 def family_from_jsonl(text: str) -> ProbeFamily:
-    """Inverse of family_to_jsonl. A family with a recipe is rebuilt by its
-    generator, at most as long as the file, and each line must match it."""
+    """Inverse of family_to_jsonl: the family is rebuilt by the generator of
+    its recipe, at most as long as the file, and each line must match it."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty probe family file", line=1)
@@ -91,15 +86,12 @@ def family_from_jsonl(text: str) -> ProbeFamily:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-            items.append((i, data if recipe is not None else element_from_json(data)))
-        except Exception as exc:
+            items.append((i, json.loads(line)))
+        except json.JSONDecodeError as exc:
             raise ParseError(f"bad probe element: {exc}", line=i) from exc
     if "count" in header and header["count"] != len(items):
         raise ParseError(f"expected {header['count']} elements, found {len(items)}",
                          line=len(lines))
-    if recipe is None:
-        return ProbeFamily(tuple(e for _, e in items), provenance)
     generator = GENERATORS.get(provenance)
     if generator is None or not isinstance(recipe, dict) or not all(
             v is None or type(v) is int for v in recipe.values()):
@@ -123,8 +115,9 @@ def family_from_jsonl(text: str) -> ProbeFamily:
 
 
 def save_family(family: ProbeFamily, path) -> None:
+    text = family_to_jsonl(family)  # raises before the file is opened
     with open(path, "w") as fh:
-        fh.write(family_to_jsonl(family))
+        fh.write(text)
 
 
 def load_family(path) -> ProbeFamily:

@@ -19,10 +19,11 @@ from proctomo.op_basis import (
 )
 from proctomo.probe_factory import (
     THETA_GRID,
-    measure_prepare_family,
+    _decode_setting,
     operator_schmidt_rank,
     phase_filter,
     qubit16_family,
+    weyl_ancilla_family,
     weyl_isolated_term,
     unitary_only_family,
 )
@@ -95,12 +96,13 @@ def test_c04_weyl_family_two_labs(weyl_n2, announce):
         assert rep.passed, f"setting {sid} violates tester comb by {rep.max_violation:.2e}"
 
     # phase filter vs tensor oracle on every Weyl index block: the outcome-0
-    # elements run over 256 index tuples, then over the theta grid
+    # elements run over 256 index tuples, then over the theta grid their
+    # circuits were built with
     zeros = [e for e in fam if e.outcome == "0"]
-    pairs = [e.meta["pairs"] for e in zeros[::4]]
+    pairs = [_decode_setting(s, 2, 2) for s in range(256)]
     assert len({str(p) for p in pairs}) == 256
-    assert [e.meta["pairs"] for e in zeros] == [p for p in pairs for _ in THETA_GRID]
-    assert [e.meta["thetas"] for e in zeros] == [[t] for t in THETA_GRID] * 256
+    assert [e.setting_id for e in zeros] == [f"wa:s{s}:th{t}" for s in range(256) for t in range(4)]
+    assert [e.circuit.thetas for e in zeros] == [(t,) for t in THETA_GRID] * 256
     chois = np.stack([e.choi.mat for e in zeros]).reshape(256, 4, 16, 16)
     filtered = phase_filter(chois.transpose(1, 0, 2, 3))
     worst_filter = max(float(np.max(np.abs(block - weyl_isolated_term(2, p).mat)))
@@ -208,7 +210,7 @@ def test_c09_functional_estimation(qubit16, qubit16_bundle, announce):
 
     unitary_bundle = tomography.build_frame(unitary_only_family())
     unitary_records = sample_shots(w, unitary_only_family(), 0)
-    mp_choi = measure_prepare_family(2).elements[0].choi
+    mp_choi = weyl_ancilla_family(1, 2).elements[0].choi
     with pytest.raises(OutsideSpan):
         tomography.estimate_functional(
             LabeledOperator(unitary_bundle.labels, mp_choi.mat),

@@ -112,7 +112,7 @@ def test_reconstruct_tampered_family_exits_2(tmp_path):
     assert run(["simulate", "--labs", 2, "--dim", 2, "--subsample", 3, "--out", out]) == 0
     lines = (out / "family.jsonl").read_text().splitlines()
     element = json.loads(lines[3])
-    element["meta"]["thetas"][0] = 0.5
+    element["setting"] = "wa:s0:th1"
     lines[3] = json.dumps(element)
     (out / "family.jsonl").write_text("\n".join(lines) + "\n")
     assert run(["reconstruct", "--out", out]) == 2
@@ -171,15 +171,17 @@ def test_export_circuits_weyl_ancilla(tmp_path):
     assert len(manifests[0]["labs"]) == 2
 
 
-def test_export_circuits_without_circuit_exits_2(tmp_path):
-    out = tmp_path / "circ"
-    assert run(["export-circuits", "--family", "measure_prepare", "--out", out]) == 2
-    assert not (out / "circuits.json").exists()
+def test_measure_prepare_family_is_not_recognised(tmp_path, capsys):
+    out = tmp_path / "run"
+    for command in ("simulate", "export-circuits"):
+        assert run([command, "--family", "measure_prepare", "--out", out]) == 2
+        assert "family 'measure_prepare' is not recognised" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("provenance, recipe", [
     ("WeylAncilla", {"n_labs": 1, "d": 40}),
-    ("MeasurePrepare", {"d": 40}),
+    ("WeylAncilla", {"n_labs": 3, "d": 2}),
 ])
 def test_reconstruct_oversized_recipe_exits_2_quickly(tmp_path, provenance, recipe):
     out = tmp_path / "run"
@@ -190,6 +192,20 @@ def test_reconstruct_oversized_recipe_exits_2_quickly(tmp_path, provenance, reci
     start = time.perf_counter()
     assert run(["reconstruct", "--out", out]) == 2
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: lines[0].update(recipe=None), 1),  # a hand-built family
+    (lambda lines: lines[1].update(meta={"effect": 0, "prep": 0}), 2),  # the old element lines
+], ids=["no_recipe", "element_meta"])
+def test_reconstruct_family_file_outside_the_format_exits_2(tmp_path, capsys, edit, line):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--family", "weyl_ancilla", "--out", out]) == 0
+    lines = [json.loads(text) for text in (out / "family.jsonl").read_text().splitlines()]
+    edit(lines)
+    (out / "family.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+    assert run(["reconstruct", "--out", out]) == 2
+    assert f"(line {line})" in capsys.readouterr().err
 
 
 def _edit_exact_records(out, edit):

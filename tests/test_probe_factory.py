@@ -38,7 +38,6 @@ from proctomo.probe_factory import (
     ancilla_block,
     ancilla_superinstrument,
     block_unitary,
-    measure_prepare_family,
     measure_prepare_joint_unitary,
     lab_labels,
     operator_schmidt_rank,
@@ -192,7 +191,7 @@ def test_measure_prepare_pauli_grid_spans_everything():
 
 
 def test_measure_prepare_family_span():
-    fam = measure_prepare_family(2)
+    fam = weyl_ancilla_family(1, 2)  # the measure-and-prepare circuits of the tomography grid
     assert span_dimension(fam.chois()) == 16
     for sid, elems in fam.settings().items():
         total = LabeledOperator(elems[0].choi.labels, sum(e.choi.mat for e in elems))
@@ -370,8 +369,8 @@ def test_single_lab_budget_checked_before_building():
     with pytest.raises(OutOfBudget):
         weyl_ancilla_family(1, 5, element_cap=10)
     with pytest.raises(OutOfBudget):
-        measure_prepare_family(5, element_cap=10)
-    assert len(measure_prepare_family(2, element_cap=32)) == 32
+        weyl_ancilla_family(1, 2, element_cap=31)
+    assert len(weyl_ancilla_family(1, 2, element_cap=32)) == 32
 
 
 def test_subsample_budget_checked_before_building(monkeypatch):
@@ -402,11 +401,12 @@ def test_weyl_family_builds_only_the_lab_unitaries_it_uses(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 def test_single_lab_circuits_equal_the_single_circuit_builder(d):
     states = tomography_state_vectors(d)
-    fam = weyl_ancilla_family(1, d)
-    assert len(fam.settings()) == d ** 4
-    for e in fam:
-        u = measure_prepare_joint_unitary(states[e.meta["effect"]], states[e.meta["prep"]])
-        assert np.array_equal(e.circuit.lab_unitaries[0], u)
+    settings = list(weyl_ancilla_family(1, d).settings().values())
+    assert len(settings) == d ** 4
+    for s, elems in enumerate(settings):
+        effect, prep = divmod(s, d * d)
+        u = measure_prepare_joint_unitary(states[effect], states[prep])
+        assert all(np.array_equal(e.circuit.lab_unitaries[0], u) for e in elems)
 
 
 def test_single_lab_subsample_is_honoured():
@@ -414,8 +414,10 @@ def test_single_lab_subsample_is_honoured():
     fam = weyl_ancilla_family(1, 2, subsample_settings=3, seed=4)
     assert len(fam) == 3 * 2 and len(fam.settings()) == 3
     for e in fam:
-        assert e.meta == full[e.record_key].meta
-        assert np.array_equal(e.choi.mat, full[e.record_key].choi.mat)
+        ref = full[e.record_key]
+        assert np.array_equal(e.choi.mat, ref.choi.mat)
+        assert len(e.circuit.lab_unitaries) == len(ref.circuit.lab_unitaries) == 1
+        assert np.array_equal(e.circuit.lab_unitaries[0], ref.circuit.lab_unitaries[0])
 
 
 def _pauli_projector(basis, sign):
@@ -432,21 +434,23 @@ def test_circuit_chois_match_independent_references():
     u_by_name = dict(QUBIT16_UNITARIES)
     for fam in (unitary_only_family(), qubit16_family()):
         for e in fam:
-            if e.meta["kind"] == "unitary":
-                ref = choi_of_unitary(u_by_name[e.meta["name"]], labels[:1], labels[1:]).mat
+            kind, name = e.setting_id.split(":")  # U:<unitary> or MP:<Pauli basis>
+            if kind == "U":
+                ref = choi_of_unitary(u_by_name[name], labels[:1], labels[1:]).mat
             else:
-                ref = np.kron(_pauli_projector(e.meta["basis"], e.outcome).T,
-                              _pauli_projector(e.meta["basis"], "+"))
+                ref = np.kron(_pauli_projector(name, e.outcome).T, _pauli_projector(name, "+"))
             assert e.choi.labels == labels
             assert np.max(np.abs(e.choi.mat - ref)) <= 1e-12
     for d in (2, 3):
         states = tomography_state_vectors(d)
         labels = lab_labels(1, d)
-        for e in weyl_ancilla_family(1, d):
-            u = measure_prepare_joint_unitary(states[e.meta["effect"]], states[e.meta["prep"]])
-            kraus = ancilla_block(u, int(e.outcome), 0)
-            ref = choi_of_kraus([kraus], labels[:1], labels[1:]).mat
-            assert np.max(np.abs(e.choi.mat - ref)) <= 1e-12
+        for s, elems in enumerate(weyl_ancilla_family(1, d).settings().values()):
+            effect, prep = divmod(s, d * d)
+            u = measure_prepare_joint_unitary(states[effect], states[prep])
+            for e in elems:
+                kraus = ancilla_block(u, int(e.outcome), 0)
+                ref = choi_of_kraus([kraus], labels[:1], labels[1:]).mat
+                assert np.max(np.abs(e.choi.mat - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("family", [
@@ -462,7 +466,6 @@ def test_generated_elements_keep_their_circuit(family):
         assert np.array_equal(rebuilt.mat, e.choi.mat)
     for elems in fam.settings().values():
         assert all(e.circuit is elems[0].circuit for e in elems)
-    assert all(e.circuit is None for e in measure_prepare_family(2))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from proctomo.probe_factory import (
     AncillaProbeSetting,
     ProbeFamily,
     ancilla_superinstrument,
-    measure_prepare_family,
     qubit16_family,
     unitary_only_family,
     weyl_ancilla_family,
@@ -71,8 +70,6 @@ def test_family_truncated_file_reports_line(tmp_path, qubit16):
 GENERATOR_ARGS = {
     "qubit16": (qubit16_family, st.fixed_dictionaries({"lab": st.integers(1, 3)})),
     "unitary_only": (unitary_only_family, st.fixed_dictionaries({"lab": st.integers(1, 3)})),
-    "measure_prepare": (measure_prepare_family, st.fixed_dictionaries(
-        {"d": st.integers(2, 3), "lab": st.integers(1, 2)})),
     "weyl_n1": (weyl_ancilla_family, st.fixed_dictionaries(
         {"n_labs": st.just(1), "d": st.integers(2, 3)})),
     "weyl_n2": (weyl_ancilla_family, st.fixed_dictionaries(
@@ -92,29 +89,22 @@ def test_generated_family_roundtrips_as_recipe(tmp_path_factory, kind, data):
     family = generator(**data.draw(args))
     path = tmp_path_factory.mktemp("family") / "family.jsonl"
     serialize.save_family(family, path)
-    assert '"matrix"' not in path.read_text()
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all(set(line) == {"setting", "outcome"} for line in lines[1:])
     back = serialize.load_family(path)
     assert (back.provenance, back.recipe) == (family.provenance, family.recipe)
     assert len(back) == len(family)
     for a, b in zip(family, back):
-        assert (a.setting_id, a.outcome, a.meta) == (b.setting_id, b.outcome, b.meta)
+        assert (a.setting_id, a.outcome) == (b.setting_id, b.outcome)
         assert a.choi.labels == b.choi.labels
         assert np.array_equal(a.choi.mat, b.choi.mat)
 
 
-def test_hand_built_family_roundtrips_dense(tmp_path, qubit16):
-    family = ProbeFamily(qubit16.elements[3:9], qubit16.provenance)
+def test_hand_built_family_is_not_saved(tmp_path, qubit16):
     path = tmp_path / "family.jsonl"
-    serialize.save_family(family, path)
-    lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["recipe"] is None
-    assert all("matrix" in json.loads(line) for line in lines[1:])
-    back = serialize.load_family(path)
-    assert back.recipe is None and len(back) == len(family)
-    for a, b in zip(family, back):
-        assert (a.setting_id, a.outcome, a.meta) == (b.setting_id, b.outcome, b.meta)
-        assert a.choi.labels == b.choi.labels
-        assert np.array_equal(a.choi.mat, b.choi.mat)
+    with pytest.raises(InvalidSetting):
+        serialize.save_family(ProbeFamily(qubit16.elements[3:9], qubit16.provenance), path)
+    assert not path.exists()
 
 
 def _tampered(edit):
@@ -137,9 +127,9 @@ def _edit_line(index, change):
 @pytest.mark.parametrize("edit, line", [
     (_edit_line(4, lambda e: e.update(setting="wa:s0:th0")), 5),
     (_edit_line(6, lambda e: e.update(outcome="1" if e["outcome"] == "0" else "0")), 7),
-    (_edit_line(9, lambda e: e["meta"]["thetas"].__setitem__(0, 0.25)), 10),
-    (_edit_line(11, lambda e: e["meta"]["pairs"].__setitem__(0, [3, 3])), 12),
-    (_edit_line(13, lambda e: e.pop("meta")), 14),
+    # an element line as written before lines held only setting and outcome
+    (_edit_line(9, lambda e: e.update(meta={"pairs": [[0, 5], [9, 2]], "thetas": [0.0],
+                                            "outcome": 0})), 10),
     (lambda lines: lines.pop(8), 24),
     (lambda lines: lines.append(lines[-1]), 26),
     (_edit_line(0, lambda h: h["recipe"].update(bogus=1)), 1),
@@ -149,6 +139,9 @@ def _edit_line(index, change):
     (_edit_line(0, lambda h: h.update(recipe=[2, 2])), 1),
     (_edit_line(0, lambda h: h.update(provenance="Custom")), 1),
     (_edit_line(0, lambda h: h.update(provenance="Qubit16")), 1),
+    (_edit_line(0, lambda h: h.update(recipe=None)), 1),
+    (_edit_line(0, lambda h: h.update(provenance="MeasurePrepare",
+                                      recipe={"d": 2, "lab": 1, "element_cap": 20000})), 1),
     (_edit_line(0, lambda h: h["recipe"].update(seed=2)), 2),
     (_edit_line(0, lambda h: h["recipe"].update(subsample_settings=4)), 25),
 ])
@@ -236,10 +229,10 @@ def test_manifests_rebuild_every_element(kind):
 
 
 def test_manifests_reject_family_without_circuits():
-    with pytest.raises(InvalidSetting) as err:
-        serialize.family_manifests(measure_prepare_family(2))
-    assert "MP:0:0" in str(err.value)
     e0, e1, _, y1 = qubit16_family().elements[10:14]  # MP:X "+", "-"; MP:Y "+", "-"
+    with pytest.raises(InvalidSetting) as err:  # a hand-built element with no circuit
+        serialize.family_manifests(ProbeFamily((replace(e0, circuit=None),)))
+    assert "MP:X" in str(err.value)
     with pytest.raises(InvalidSetting):  # outcome labels out of circuit order
         serialize.family_manifests(ProbeFamily((e1, e0)))
     with pytest.raises(InvalidSetting):  # one setting, two different circuits

@@ -11,7 +11,6 @@ from proctomo.errors import (
 )
 from proctomo.probe_factory import (
     ProbeFamily,
-    measure_prepare_family,
     qubit16_family,
     unitary_only_family,
     weyl_ancilla_family,
@@ -232,7 +231,7 @@ def test_estimate_functional_outside_span(qubit16):
     bundle = build_frame(unitary_only_family())
     w = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=11)))
     records = sample_shots(w, unitary_only_family(), 0)
-    mp = measure_prepare_family(2).elements[0].choi
+    mp = weyl_ancilla_family(1, 2).elements[0].choi
     with pytest.raises(OutsideSpan):
         estimate_functional(LabeledOperator(bundle.labels, mp.mat), bundle, records)
 
@@ -274,6 +273,6 @@ def test_condition_number_invariant_under_relabeling(qubit16):
     flipped_elems = []
     for e in qubit16:
         flipped = permute_systems(e.choi, (e.choi.labels[1], e.choi.labels[0]))
-        flipped_elems.append(type(e)(e.setting_id, e.outcome, flipped, e.meta))
+        flipped_elems.append(type(e)(e.setting_id, e.outcome, flipped))
     flipped_bundle = build_frame(ProbeFamily(tuple(flipped_elems), qubit16.provenance))
     assert abs(bundle.condition_number - flipped_bundle.condition_number) < 1e-6
