@@ -78,6 +78,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         unknown = set(data) - fields
         if unknown:
             raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")

@@ -40,11 +40,14 @@ from .tensor_core import (
     LabeledOperator,
     Role,
     SpaceLabel,
+    canonical_order,
+    canonicalize,
     permute_systems,
     sqrt_psd,
 )
 
 THETA_GRID = (0.0, np.pi, np.pi / 2, -np.pi / 2)
+CHUNK = 256  # Choi matrices that ProbeFamily.choi_chunks stacks at a time
 
 
 class Provenance(enum.Enum):
@@ -56,10 +59,16 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeElement:
+    """One probe. A hand-built element holds its Choi; a generated one is a _GeneratedElement."""
     setting_id: str
     outcome: str
     choi: LabeledOperator
-    circuit: "AncillaProbeSetting | None" = None  # built from; shared by the setting's outcomes
+    circuit: "AncillaProbeSetting | None" = None  # built from; shared by the circuit's outcomes
+    _source = None  # not a field: (batch, circuit row, ancilla outcome) of a _GeneratedElement
+
+    @property
+    def labels(self) -> tuple[SpaceLabel, ...]:  # read without building a generated Choi
+        return self.choi.labels if self._source is None else self._source[0].labels
 
     @property
     def record_key(self) -> tuple[str, str]:
@@ -74,12 +83,10 @@ class ProbeFamily:
 
     def __post_init__(self):
         elems = tuple(self.elements)
-        if elems:
-            sig = elems[0].choi.keys
-            for e in elems[1:]:
-                if e.choi.keys != sig:
-                    raise InvalidSetting(
-                        f"inconsistent label signature: {e.choi.keys} vs {sig}")
+        for e in elems[1:]:
+            if e.labels != elems[0].labels:
+                raise InvalidSetting(
+                    f"inconsistent label signature: {e.labels} vs {elems[0].labels}")
         object.__setattr__(self, "elements", elems)
 
     def __len__(self):
@@ -88,14 +95,41 @@ class ProbeFamily:
     def __iter__(self):
         return iter(self.elements)
 
+    @property
+    def labels(self) -> tuple[SpaceLabel, ...]:  # canonical order, as in choi_chunks
+        return canonical_order(self.elements[0].labels)
+
     def chois(self) -> list[LabeledOperator]:
         return [e.choi for e in self.elements]
+
+    def choi_chunks(self):
+        """The canonical Chois, CHUNK at a time: tau tau^dag if all elements are generated."""
+        sources = [e._source for e in self.elements]
+        generated = all(sources)
+        for i in range(0, len(sources), CHUNK):
+            if generated:
+                taus = np.stack([b.taus[row, :, m] for b, row, m in sources[i:i + CHUNK]])
+                yield taus[:, :, None] * taus.conj()[:, None, :]
+            else:
+                yield np.stack([canonicalize(e.choi).mat for e in self.elements[i:i + CHUNK]])
 
     def settings(self) -> dict[str, list[ProbeElement]]:
         grouped: dict[str, list[ProbeElement]] = {}
         for e in self.elements:
             grouped.setdefault(e.setting_id, []).append(e)
         return grouped
+
+
+class _GeneratedElement(ProbeElement):
+    """Builds its circuit (shared by the circuit's outcomes) and Choi on first read."""
+
+    @functools.cached_property
+    def circuit(self) -> "AncillaProbeSetting":
+        return self._source[0].circuit(self._source[1])
+
+    @functools.cached_property
+    def choi(self) -> LabeledOperator:
+        return ancilla_superinstrument(self.circuit, self.labels[0].lab)[self._source[2]]
 
 
 def lab_labels(lab: int, d: int) -> tuple[SpaceLabel, SpaceLabel]:
@@ -194,8 +228,8 @@ def measure_prepare_instrument(a_effect, psi_prep, lab: int = 1,
             raise NotNormalized(f"{name} has norm {np.linalg.norm(s):.6f}")
     if setting_id is None:
         setting_id = f"mp(a={np.round(a, 6)},psi={np.round(psi, 6)})"
-    return tuple(_circuit_probes(setting_id, ("0", "1"),
-                                 (measure_prepare_joint_unitary(a, psi),), lab=lab))
+    return tuple(_CircuitBatch((measure_prepare_joint_unitary(a, psi)[None],), (), lab).elements(
+        [setting_id], [("0", "1")]))
 
 
 def _rotation(axis: np.ndarray, theta: float) -> np.ndarray:
@@ -228,8 +262,9 @@ _PAULI_EIGENVECTORS = {
 def unitary_only_family(lab: int = 1) -> ProbeFamily:
     """The ten deterministic single-qubit probes as one-outcome settings: the
     circuit applies U to the system and leaves the ancilla in |0>."""
-    elems = [e for name, u in QUBIT16_UNITARIES
-             for e in _circuit_probes(f"U:{name}", ("0",), (np.kron(u, PAULI_I),), lab=lab)]
+    us = np.stack([np.kron(u, PAULI_I) for _, u in QUBIT16_UNITARIES])
+    elems = _CircuitBatch((us,), (), lab).elements(
+        [f"U:{name}" for name, _ in QUBIT16_UNITARIES], [("0",)] * 10)
     return ProbeFamily(tuple(elems), Provenance.UNITARY_ONLY, {"lab": lab})
 
 
@@ -243,12 +278,12 @@ def qubit16_family(lab: int = 1) -> ProbeFamily:
     1, with effects |p+-><p+-|^T and prepared state |p+>.
     """
     swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
-    elems = list(unitary_only_family(lab).elements)
-    for basis_name, (plus, minus) in _PAULI_EIGENVECTORS.items():
-        w = np.stack([plus, minus], axis=1)
-        u = (np.kron(PAULI_I, w.conj().T) @ swap @ np.kron(PAULI_I, w),)
-        elems += _circuit_probes(f"MP:{basis_name}", ("+", "-"), u, lab=lab)
-    return ProbeFamily(tuple(elems), Provenance.QUBIT16, {"lab": lab})
+    ws = [np.stack(pair, axis=1) for pair in _PAULI_EIGENVECTORS.values()]
+    us = np.stack([np.kron(PAULI_I, w.conj().T) @ swap @ np.kron(PAULI_I, w) for w in ws])
+    elems = _CircuitBatch((us,), (), lab).elements(
+        [f"MP:{name}" for name in _PAULI_EIGENVECTORS], [("+", "-")] * 3)
+    return ProbeFamily(unitary_only_family(lab).elements + tuple(elems), Provenance.QUBIT16,
+                       {"lab": lab})
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +308,7 @@ class AncillaProbeSetting:
             raise InvalidSetting("ancilla state must be a normalised qubit vector")
         if not us:
             raise InvalidSetting("at least one lab unitary required")
-        side = us[0].shape[0]
-        if side % 2 or any(u.shape != (side, side) for u in us) or np.max(np.abs(
-                np.stack(us).conj().transpose(0, 2, 1) @ np.stack(us) - np.eye(side))) > 1e-9:
-            raise InvalidSetting("lab unitaries must be unitary on one system (x) qubit space")
+        _check_lab_unitaries(tuple(u[None] for u in us))
         if len(self.thetas) != len(us) - 1:
             raise InvalidSetting(f"need {len(us) - 1} phases, got {len(self.thetas)}")
         object.__setattr__(self, "psi", psi)
@@ -292,36 +324,78 @@ class AncillaProbeSetting:
         return self.lab_unitaries[0].shape[0] // 2
 
 
+def _check_lab_unitaries(stacks) -> None:
+    """InvalidSetting unless the per-lab stacks (B, 2d, 2d) share one shape and are unitary."""
+    shape = stacks[0].shape
+    if len(shape) != 3 or shape[1] != shape[2] or shape[1] % 2 or any(
+            s.shape != shape for s in stacks) or max(np.max(np.abs(
+                s.conj().transpose(0, 2, 1) @ s - np.eye(shape[1]))) for s in stacks) > 1e-9:
+        raise InvalidSetting("lab unitaries must be unitary on one system (x) qubit space")
+
+
 def phase_gate(theta: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
 
 
+def ancilla_taus(psi: np.ndarray, lab_unitaries, thetas: np.ndarray) -> np.ndarray:
+    """Taus (B, side, 2) of B circuits (ancilla states psi (B, 2), lab unitaries (B, 2d, 2d)
+    per lab, phases thetas (B, N-1)), contracted at once over the ancilla wires. All pieces are
+    pure, so circuit b's outcome-m Choi is |tau_m><tau_m|, tau_m = <m|vec(U_N)..vec(P U_1)|psi>."""
+    n, b, d = len(lab_unitaries), len(psi), lab_unitaries[0].shape[-1] // 2
+    angles, which = np.unique(thetas, return_inverse=True)  # one phase gate per angle
+    gates = np.array([phase_gate(a).diagonal() for a in angles]).reshape(-1, 2)[
+        which.reshape(thetas.shape)]  # (B, N-1, 2)
+    tau = psi.reshape(b, 1, 2)  # axes: batch, (I1, O1, ..., It, Ot), ancilla
+    for t, u in enumerate(lab_unitaries, start=1):
+        v = u.transpose(0, 2, 1).reshape(b, d, 2, d, 2)  # vec(U): It, ancilla in, Ot, ancilla out
+        if t < n:
+            v = v * gates[:, t - 1, None, None, None, :]  # vec((I (x) P) U)
+        tau = np.einsum("...xa,...iaob->...xiob", tau, v).reshape(b, -1, 2)
+    return tau
+
+
+def _circuit_labels(first_lab: int, n: int, d: int) -> tuple[SpaceLabel, ...]:
+    return tuple(l for t in range(first_lab, first_lab + n) for l in lab_labels(t, d))
+
+
 def ancilla_superinstrument(setting: AncillaProbeSetting,
                             first_lab: int = 1) -> tuple[LabeledOperator, LabeledOperator]:
-    """Probe Chois |tau_m><tau_m| of the ancilla outcomes m = 0, 1 on
-    (I1, O1, ..., IN, ON), labs numbered from first_lab, from one contraction.
-    The ancilla state, phase-modified joint unitaries and projector |m><m| are
-    pure, so their link product is the projector onto the contraction of their
-    Choi vectors over the ancilla wires: tau_m = <m| vec(U_N) ... vec(P U_1) |psi>."""
-    n, d = setting.n_labs, setting.d_sys
-    tau = setting.psi.reshape(1, 2)  # axes: (I1, O1, ..., It, Ot), ancilla
-    for t, u in enumerate(setting.lab_unitaries, start=1):
-        v = u.T.reshape(d, 2, d, 2)  # vec(U) with axes It, ancilla in, Ot, ancilla out
-        if t < n:
-            v = v * phase_gate(setting.thetas[t - 1]).diagonal()  # vec((I (x) P) U)
-        tau = np.einsum("xa,iaob->xiob", tau, v).reshape(-1, 2)
-    labels = tuple(l for t in range(first_lab, first_lab + n) for l in lab_labels(t, d))
+    """Probe Chois |tau_m><tau_m| of the ancilla outcomes m = 0, 1 on (I1, O1,
+    ..., IN, ON), labs numbered from first_lab: ancilla_taus of a batch of one."""
+    tau = ancilla_taus(setting.psi[None], tuple(u[None] for u in setting.lab_unitaries),
+                       np.array([setting.thetas]))[0]
+    labels = _circuit_labels(first_lab, setting.n_labs, setting.d_sys)
     return tuple(LabeledOperator(labels, np.outer(tau[:, m], tau[:, m].conj())) for m in (0, 1))
 
 
-def _circuit_probes(setting_id: str, outcomes, lab_unitaries, thetas=(),
-                    lab: int = 1) -> list[ProbeElement]:
-    """The family elements of the circuit |0> -> lab unitaries -> Z readout;
-    outcomes[m] labels ancilla outcome m, and outcomes not listed are
-    dropped. Every element holds the one circuit."""
-    circuit = AncillaProbeSetting(KET0, lab_unitaries, thetas)
-    return [ProbeElement(setting_id, label, choi, circuit)
-            for label, choi in zip(outcomes, ancilla_superinstrument(circuit, lab))]
+class _CircuitBatch:
+    """Circuits |0> -> lab unitaries -> Z readout: lab_unitaries[t] (B, 2d, 2d) and
+    thetas (B, N-1) are checked and contracted to taus (B, side, 2) at once."""
+
+    def __init__(self, lab_unitaries, thetas=(), first_lab: int = 1):
+        _check_lab_unitaries(lab_unitaries)
+        b, side, _ = lab_unitaries[0].shape
+        self.lab_unitaries, self._circuits = lab_unitaries, {}
+        self.thetas = np.asarray(thetas, dtype=float).reshape(b, len(lab_unitaries) - 1)
+        self.labels = _circuit_labels(first_lab, len(lab_unitaries), side // 2)
+        self.taus = ancilla_taus(np.tile(KET0, (b, 1)), lab_unitaries, self.thetas)
+
+    def circuit(self, b: int) -> AncillaProbeSetting:  # built on first read, then reused
+        if b not in self._circuits:
+            us = tuple(u[b] for u in self.lab_unitaries)
+            self._circuits[b] = AncillaProbeSetting(KET0, us, tuple(self.thetas[b]))
+        return self._circuits[b]
+
+    def elements(self, setting_ids, outcomes) -> list[ProbeElement]:
+        """Circuit b's elements: setting id setting_ids[b], outcomes[b][m] for ancilla outcome m."""
+        elems = []
+        for row, (sid, labels) in enumerate(zip(setting_ids, outcomes)):
+            for m, label in enumerate(labels):
+                e = object.__new__(_GeneratedElement)
+                for name, v in ("setting_id", sid), ("outcome", label), ("_source", (self, row, m)):
+                    object.__setattr__(e, name, v)  # not via __dict__: stays compact
+                elems.append(e)
+        return elems
 
 
 def phase_filter(samples, links: int = 1) -> np.ndarray:
@@ -438,20 +512,21 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
         cx = controlled_flip(d)
         prepared = [np.kron(unitary_with_first_column(psi), PAULI_I) @ cx for psi in states]
         measured = [np.kron(unitary_with_first_column(a).conj().T, PAULI_I) for a in states]
+        per_setting = [(prepared[s_idx % (d * d)] @ measured[s_idx // (d * d)],)
+                       for s_idx in chosen]
     else:  # a lab unitary depends only on its position and (mu, nu): build each once, on use
         lab_unitary = functools.cache(lambda *key: block_unitary(*weyl_block_spec(d, *key)))
-    theta_combos = list(itertools.product(THETA_GRID, repeat=n_labs - 1))
-    elems = []
-    for s_idx in chosen:
-        if n_labs == 1:
-            effect, prep = divmod(s_idx, d * d)
-            us = (prepared[prep] @ measured[effect],)
-        else:
-            us = tuple(lab_unitary(_position(t, n_labs), mu, nu)
-                       for t, (mu, nu) in enumerate(_decode_setting(s_idx, n_labs, d), start=1))
-        for t_idx, thetas in enumerate(theta_combos):
-            sid = f"wa:s{s_idx}" if n_labs == 1 else f"wa:s{s_idx}:th{t_idx}"
-            elems += _circuit_probes(sid, ("0", "1"), us, thetas)
+        per_setting = [tuple(lab_unitary(_position(t, n_labs), mu, nu) for t, (mu, nu)
+                             in enumerate(_decode_setting(s_idx, n_labs, d), start=1))
+                       for s_idx in chosen]
+    # circuit b runs setting b // n_theta at phases theta_combos[b % n_theta]
+    theta_combos = np.array(list(itertools.product(THETA_GRID, repeat=n_labs - 1)))
+    n_theta = len(theta_combos)
+    stacks = tuple(np.repeat(np.stack(lab), n_theta, axis=0) for lab in zip(*per_setting))
+    sids = [f"wa:s{s_idx}" if n_labs == 1 else f"wa:s{s_idx}:th{t_idx}"
+            for s_idx in chosen for t_idx in range(n_theta)]
+    batch = _CircuitBatch(stacks, np.tile(theta_combos, (len(chosen), 1)))
+    elems = batch.elements(sids, [("0", "1")] * len(sids))
     return ProbeFamily(tuple(elems), Provenance.WEYL_ANCILLA, recipe)
 
 

@@ -249,15 +249,16 @@ def born_probability(w: ProcessMatrix | LabeledOperator, probe) -> float:
 
 
 def born_probabilities(w, family: ProbeFamily) -> list[float]:
-    """Every element's Born value from one product of the stacked canonical
-    Chois with vec(W); same checks and clamp as born_probability."""
+    """Every element's Born value: canonical Chois stacked chunk by chunk
+    (ProbeFamily.choi_chunks) times vec(W); born_probability's checks and clamp."""
     if len(family) == 0:
         return []
     wop = canonicalize(w.op if isinstance(w, ProcessMatrix) else w)
-    chois = [canonicalize(e.choi) for e in family]
-    if wop.keys != chois[0].keys:
-        raise DimMismatch(f"process labels {wop.keys} do not match probe labels {chois[0].keys}")
-    vals = np.stack([c.mat.reshape(-1) for c in chois]) @ wop.mat.reshape(-1)
+    keys = tuple(l.key for l in family.labels)
+    if wop.keys != keys:
+        raise DimMismatch(f"process labels {wop.keys} do not match probe labels {keys}")
+    wvec = wop.mat.reshape(-1)
+    vals = np.concatenate([c.reshape(len(c), -1) @ wvec for c in family.choi_chunks()])
     return [_checked_probability(val) for val in vals]
 
 

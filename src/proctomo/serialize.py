@@ -77,6 +77,8 @@ def family_from_jsonl(text: str) -> ProbeFamily:
         raise ParseError("empty probe family file", line=1)
     try:
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ParseError("family header must be a JSON object", line=1)
         provenance = Provenance(header.get("provenance", "Custom"))
     except (json.JSONDecodeError, ValueError) as exc:
         raise ParseError(f"bad family header: {exc}", line=1) from exc

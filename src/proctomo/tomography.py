@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choi_link import CombDirection, validate_comb, vec_matrix
+from .choi_link import CombDirection, validate_comb
 from .errors import DimMismatch, EmptyFamily, MissingData, NotIC, OutsideSpan, UnexpectedRecord
 from .probe_factory import ProbeFamily
 from .process_sim import ExperimentRecord
@@ -79,7 +79,8 @@ class FrameBundle:
     @functools.cached_property
     def tvecs(self) -> np.ndarray:
         """Row a = vec(T_a), complex; built on first use."""
-        return np.stack([vec_matrix(canonicalize(e.choi).mat) for e in self.family])
+        return np.concatenate([c.transpose(0, 2, 1).reshape(len(c), -1)
+                               for c in self.family.choi_chunks()])
 
     @functools.cached_property
     def duals(self) -> np.ndarray:
@@ -89,22 +90,21 @@ class FrameBundle:
 
 
 def build_frame(family: ProbeFamily) -> FrameBundle:
-    """Real coordinates of the probes and one eigendecomposition of the real
-    symmetric frame G = R^T R.
+    """Real coordinates of the probes (by ProbeFamily.choi_chunks) and one
+    eigendecomposition of the real symmetric frame G = R^T R.
 
     Eigenvalues above 1e-10 * lambda_max are kept; they give the rank, the
     condition number (largest kept over smallest kept) and the pseudoinverse.
     """
     if len(family) == 0:
         raise EmptyFamily("cannot build a frame from an empty family")
-    chois = [canonicalize(e.choi) for e in family]
-    coords = hermitian_coords(np.stack([c.mat for c in chois]))
+    coords = np.concatenate([hermitian_coords(c) for c in family.choi_chunks()])
     evals, evecs = np.linalg.eigh(coords.T @ coords)
     keep = evals > max(1e-10 * evals[-1], 0.0)
     kept = evals[keep]
     cond = float(kept[-1] / kept[0]) if kept.size else float("inf")
     return FrameBundle(family=family, coords=coords, evals=kept, evecs=evecs[:, keep],
-                       condition_number=cond, labels=chois[0].labels)
+                       condition_number=cond, labels=family.labels)
 
 
 def dual_identity_check(bundle: FrameBundle) -> float:

@@ -326,3 +326,35 @@ def test_simulate_invalid_subsample_exits_2(tmp_path, capsys, flags):
 def test_negative_seed_without_subsample(tmp_path):
     assert run(["simulate", "--family", "weyl_ancilla", "--seed", -5,
                 "--out", tmp_path / "run"]) == 0
+
+
+@pytest.mark.parametrize("labs, dim, shots", [(2, 2, 0), (1, 3, 100)])
+def test_pipeline_builds_no_element_choi_or_circuit(tmp_path, monkeypatch, labs, dim, shots):
+    def fail(*args, **kwargs):
+        raise AssertionError("the pipeline built a per-element circuit or Choi")
+
+    monkeypatch.setattr(probe_factory, "ancilla_superinstrument", fail)
+    monkeypatch.setattr(probe_factory, "AncillaProbeSetting", fail)
+    out = tmp_path / "run"
+    args = ["--labs", labs, "--dim", dim, "--shots", shots, "--out", out]
+    assert run(["simulate"] + args) == 0
+    assert run(["reconstruct"] + args) == 0
+
+
+def test_reconstruct_family_header_not_an_object_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    lines = (out / "family.jsonl").read_text().splitlines()
+    (out / "family.jsonl").write_text("\n".join(["[1, 2]"] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["reconstruct", "--out", out]) == 2
+    assert "family header must be a JSON object (line 1)" in capsys.readouterr().err
+
+
+def test_config_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]")
+    assert run(["span", "--config", path, "--out", tmp_path / "span"]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        load_config(str(path), {})

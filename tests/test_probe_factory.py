@@ -385,7 +385,10 @@ def test_weyl_family_builds_one_circuit_per_setting(monkeypatch):
     monkeypatch.setattr(probe_factory, "AncillaProbeSetting",
                         lambda *args: built.append(AncillaProbeSetting(*args)) or built[-1])
     fam = weyl_ancilla_family(2, 2)
-    assert len(built) == len(fam.settings()) == 1024 and len(fam) == 2048
+    assert not built and len(fam) == 2048  # circuits are built on first read
+    for e in fam:
+        e.circuit
+    assert len(built) == len(fam.settings()) == 1024
     for e0, e1 in fam.settings().values():
         assert e0.circuit is e1.circuit
 

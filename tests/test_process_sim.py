@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proctomo import choi_link, cli, process_sim
+from proctomo import choi_link, cli, probe_factory, process_sim
 from proctomo.choi_link import bell_matrix, choi_of_unitary, link_product, validate_comb
 from proctomo.errors import (
     DimMismatch,
@@ -19,6 +19,7 @@ from proctomo.probe_factory import (
     ancilla_superinstrument,
     qubit16_family,
     measure_prepare_instrument,
+    weyl_ancilla_family,
     weyl_lab_unitaries,
 )
 from proctomo.process_sim import (
@@ -314,3 +315,30 @@ def test_batched_born_matches_per_element(qubit16, weyl_n2):
         single = [born_probability(wi, e) for e in family]
         assert len(batched) == len(family)
         assert np.max(np.abs(np.array(batched) - single)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Chunked Choi stacks from batched taus against the per-element path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_labs, d, subsample", [
+    (1, 2, None), (1, 3, None), (1, 6, None), (2, 2, None), (2, 3, 12), (3, 2, 12),
+])
+def test_batched_chois_and_born_match_per_element(n_labs, d, subsample):
+    fam = weyl_ancilla_family(n_labs, d, subsample_settings=subsample, seed=5)
+    stacked = np.concatenate(list(fam.choi_chunks()))
+    per_element = np.stack([ancilla_superinstrument(e.circuit)[int(e.outcome)].mat for e in fam])
+    assert stacked.shape == per_element.shape
+    assert np.max(np.abs(stacked - per_element)) <= 1e-12
+    w = interior_only(build_process(preset_process("HaarEnv", n_labs, d, seed=5)))
+    born = np.array(born_probabilities(w, fam))
+    assert np.max(np.abs(born - [born_probability(w, e) for e in fam])) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [37, 5000])
+def test_born_values_do_not_depend_on_the_chunk_size(monkeypatch, weyl_n2, chunk):
+    w = interior_only(build_process(preset_process("HaarEnv", 2, 2, seed=2)))
+    reference = born_probabilities(w, weyl_n2)
+    monkeypatch.setattr(probe_factory, "CHUNK", chunk)
+    assert len(weyl_n2) % chunk != 0
+    assert born_probabilities(w, weyl_n2) == reference

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from proctomo import probe_factory
+from proctomo.choi_link import vec_matrix
 from proctomo.errors import (
     DimMismatch,
     EmptyFamily,
@@ -22,7 +24,7 @@ from proctomo.process_sim import (
     preset_process,
     sample_shots,
 )
-from proctomo.tensor_core import LabeledOperator, permute_systems, rank_and_pinv
+from proctomo.tensor_core import LabeledOperator, canonicalize, permute_systems, rank_and_pinv
 from proctomo.tomography import (
     build_frame,
     dual_identity_check,
@@ -276,3 +278,19 @@ def test_condition_number_invariant_under_relabeling(qubit16):
         flipped_elems.append(type(e)(e.setting_id, e.outcome, flipped))
     flipped_bundle = build_frame(ProbeFamily(tuple(flipped_elems), qubit16.provenance))
     assert abs(bundle.condition_number - flipped_bundle.condition_number) < 1e-6
+
+
+@pytest.mark.parametrize("chunk", [37, 5000])
+def test_frame_does_not_depend_on_the_chunk_size(monkeypatch, weyl_n2, chunk):
+    reference = build_frame(weyl_n2)
+    monkeypatch.setattr(probe_factory, "CHUNK", chunk)
+    assert len(weyl_n2) % chunk != 0
+    bundle = build_frame(weyl_n2)
+    assert np.array_equal(bundle.coords, reference.coords)
+    assert np.array_equal(bundle.tvecs, reference.tvecs)
+
+
+def test_tvecs_are_the_vec_of_every_element_choi(qubit16, weyl_n2):
+    for family in (qubit16, weyl_n2):
+        vecs = np.stack([vec_matrix(canonicalize(e.choi).mat) for e in family])
+        assert np.max(np.abs(build_frame(family).tvecs - vecs)) <= 1e-12
