@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import choi_link, op_basis, probe_factory, process_sim, serialize, tomography
-from .errors import ConfigError, ParseError, ProctomoError
+from .errors import ConfigError, MissingData, ParseError, ProctomoError, UnexpectedRecord
 
 
 @dataclass
@@ -156,9 +156,15 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         raise ConfigError(f"out dir {cfg.out!r} lacks simulate artifacts")
     family = serialize.load_family(fam_path)
     with open(rec_path) as fh:
-        records = serialize.records_from_json(fh.read())
+        try:
+            records = serialize.records_from_json(fh.read())
+        except ParseError as exc:
+            raise ParseError(f"{rec_path}: {exc}") from exc
     bundle = tomography.build_frame(family)
-    report = tomography.linear_inversion(bundle, records, project_psd=cfg.project_psd)
+    try:
+        report = tomography.linear_inversion(bundle, records, project_psd=cfg.project_psd)
+    except (MissingData, UnexpectedRecord) as exc:
+        raise type(exc)(f"{rec_path} does not fit {fam_path}: {exc}") from exc
     truth_path = os.path.join(cfg.out, "w_true.json")
     if os.path.exists(truth_path):
         with open(truth_path) as fh:

@@ -12,7 +12,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,8 +62,10 @@ class ProbeElement:
     """One probe. A hand-built element holds its Choi; a generated one is a _GeneratedElement."""
     setting_id: str
     outcome: str
-    choi: LabeledOperator
-    circuit: "AncillaProbeSetting | None" = None  # built from; shared by the circuit's outcomes
+    # circuit: built from, shared by the circuit's outcomes. repr, == and hash read
+    # neither field, so they build nothing.
+    choi: LabeledOperator = field(repr=False, compare=False)
+    circuit: "AncillaProbeSetting | None" = field(default=None, repr=False, compare=False)
     _source = None  # not a field: (batch, circuit row, ancilla outcome) of a _GeneratedElement
 
     @property

@@ -6,9 +6,11 @@ parse -> serialize round trip is bit-identical.
 
 A probe family is stored as its generator's recipe in a header line, then one
 {setting, outcome} line per element; reading regenerates the family and checks
-each line. A hand-built family has no recipe and cannot be stored.
+each line. A hand-built family has no recipe and cannot be stored. Experiment
+records are one object of parallel lists in record order, with shots once.
 """
 
+import collections
 import csv
 import inspect
 import io
@@ -131,61 +133,54 @@ def load_family(path) -> ProbeFamily:
 # Experiment records and process specs
 # ---------------------------------------------------------------------------
 
-def record_to_json(r: ExperimentRecord) -> dict:
-    return {"setting_id": r.setting_id, "outcome": r.outcome,
-            "probability": r.probability, "count": r.count,
-            "shots_total": r.shots_total}
-
-
-def record_from_json(d) -> ExperimentRecord:
-    """Shot records need an integer count, exact records a real probability."""
-    r = ExperimentRecord(str(d["setting_id"]), str(d["outcome"]),
-                         probability=d.get("probability"),
-                         count=d.get("count"),
-                         shots_total=int(d.get("shots_total", 0)))
-    name, kind = ("count", int) if r.shots_total else ("probability", (int, float))
-    value = getattr(r, name)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(f"record {r.setting_id}/{r.outcome}: {name} is {value!r}")
-    if r.shots_total and not 0 <= r.count <= r.shots_total:
-        raise ParseError(f"record {r.setting_id}/{r.outcome}: count {r.count} "
-                         f"outside 0..{r.shots_total}")
-    if not r.shots_total and not 0 <= r.probability <= 1 + NEGATIVITY_TOL:
-        raise ParseError(f"record {r.setting_id}/{r.outcome}: probability "
-                         f"{r.probability!r} outside [0, 1]")
-    return r
-
-
 def records_to_json(records) -> str:
-    return json.dumps([record_to_json(r) for r in records], indent=2) + "\n"
+    """One JSON object in record order: shots once, then the parallel lists
+    setting_id, outcome and count (or, with shots 0, the exact probability)."""
+    shots = {r.shots_total for r in records}
+    if len(shots) > 1:
+        raise InvalidSetting(f"records mix shots_total values {sorted(shots)}")
+    shots = shots.pop() if shots else 0
+    name = "count" if shots else "probability"
+    return json.dumps({"shots": shots, "setting_id": [r.setting_id for r in records],
+                       "outcome": [r.outcome for r in records],
+                       name: [getattr(r, name) for r in records]}) + "\n"
 
 
-def records_from_json(text: str):
+def records_from_json(text: str) -> list[ExperimentRecord]:
+    """Inverse of records_to_json. Counts lie in 0..shots and sum to shots per
+    setting; exact probabilities lie in [0, 1] and sum to 1."""
     try:
-        items = json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad records file: {exc}") from exc
-    if not isinstance(items, list):
-        raise ParseError("records file must hold a JSON list")
-    try:
-        records = [record_from_json(d) for d in items]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad record: {exc!r}") from exc
-    seen, settings = set(), {}
-    for r in records:
-        key = (r.setting_id, r.outcome)
-        if key in seen:
-            raise ParseError(f"duplicate record {r.setting_id}/{r.outcome}")
-        seen.add(key)
-        settings.setdefault(r.setting_id, []).append(r)
-    for sid, rs in settings.items():
-        if len({r.shots_total for r in rs}) > 1:
-            raise ParseError(f"setting {sid}: records disagree on shots_total")
-        shots = rs[0].shots_total
-        total = sum(r.count if shots else r.probability for r in rs)
+    if not isinstance(data, dict):
+        raise ParseError("records file must hold a JSON object")
+    shots = data.get("shots")
+    if type(shots) is not int or shots < 0:
+        raise ParseError(f"shots is {shots!r}, not a non-negative int")
+    name = "count" if shots else "probability"
+    ids, outcomes, values = columns = [data.get(k) for k in ("setting_id", "outcome", name)]
+    if not all(isinstance(c, list) for c in columns) or len(set(map(len, columns))) > 1:
+        raise ParseError(f"setting_id, outcome and {name} must be lists of one length")
+    if not all(isinstance(x, str) for x in ids + outcomes):
+        raise ParseError("setting ids and outcomes must be strings")
+    totals = {}
+    for sid, outcome, v in zip(ids, outcomes, values):
+        if not (type(v) is int and 0 <= v <= shots if shots else
+                type(v) in (int, float) and 0 <= v <= 1 + NEGATIVITY_TOL):
+            raise ParseError(f"record {sid}/{outcome}: {name} {v!r} is not "
+                             + (f"an int in 0..{shots}" if shots else "a real in [0, 1]"))
+        totals[sid] = totals.get(sid, 0) + v
+    if len(set(zip(ids, outcomes))) < len(ids):
+        dup = collections.Counter(zip(ids, outcomes)).most_common(1)[0][0]
+        raise ParseError(f"duplicate record {dup[0]}/{dup[1]}")
+    for sid, total in totals.items():
         if abs(total - (shots or 1)) > (0 if shots else NEGATIVITY_TOL):
             raise ParseError(f"setting {sid}: outcomes sum to {total!r}, not {shots or 1}")
-    return records
+    if shots:
+        return [ExperimentRecord(s, o, count=c, shots_total=shots)
+                for s, o, c in zip(ids, outcomes, values)]
+    return [ExperimentRecord(s, o, probability=p) for s, o, p in zip(ids, outcomes, values)]
 
 
 def records_to_csv(records) -> str:
@@ -209,15 +204,19 @@ def family_manifests(family: ProbeFamily) -> list[dict]:
     """One manifest per setting, read from the one circuit its elements hold:
     ancilla state, joint system (x) ancilla lab unitaries, the phase gate
     angles between labs, and the final Z measurement of the ancilla, whose
-    outcome m is the setting's m-th outcome, as rebuilding the setting's Chois
-    from the circuit confirms. Native-gate decomposition is not done."""
+    outcome m is the setting's m-th outcome. A generated element's ancilla
+    outcome index confirms that; a stored Choi is compared with the Choi rebuilt
+    from the circuit. Native-gate decomposition is not done."""
     manifests = []
     for sid, elems in family.settings().items():
-        circuit, first_lab = elems[0].circuit, elems[0].choi.labels[0].lab
-        chois = () if circuit is None else ancilla_superinstrument(circuit, first_lab)
+        circuit, first_lab = elems[0].circuit, elems[0].labels[0].lab
+        chois = (() if circuit is None else (None, None) if all(e._source for e in elems)
+                 else ancilla_superinstrument(circuit, first_lab))
         if len(elems) > len(chois) or not all(
-                e.circuit is circuit and e.choi.labels == c.labels
-                and np.array_equal(e.choi.mat, c.mat) for e, c in zip(elems, chois)):
+                e.circuit is circuit and (e._source[2] == m if e._source else
+                                          e.choi.labels == c.labels
+                                          and np.array_equal(e.choi.mat, c.mat))
+                for m, (e, c) in enumerate(zip(elems, chois))):
             raise InvalidSetting(f"setting {sid!r} is not the outcomes 0, 1, ... of one "
                                  f"qubit-ancilla circuit")
         manifests.append({"setting": sid, "outcomes": [e.outcome for e in elems],

@@ -92,7 +92,7 @@ def test_reconstruct_null_count_exits_2(tmp_path):
     out = tmp_path / "run"
     assert run(["simulate", "--labs", 1, "--shots", 100, "--out", out]) == 0
     records = json.loads((out / "records.json").read_text())
-    records[0]["count"] = None
+    records["count"][0] = None
     (out / "records.json").write_text(json.dumps(records))
     assert run(["reconstruct", "--out", out]) == 2
 
@@ -102,7 +102,7 @@ def test_reconstruct_count_outside_shots_exits_2(tmp_path, count):
     out = tmp_path / "run"
     assert run(["simulate", "--labs", 1, "--shots", 50, "--out", out]) == 0
     records = json.loads((out / "records.json").read_text())
-    records[0]["count"] = count
+    records["count"][0] = count
     (out / "records.json").write_text(json.dumps(records))
     assert run(["reconstruct", "--out", out]) == 2
 
@@ -215,16 +215,22 @@ def _edit_exact_records(out, edit):
     (out / "records.json").write_text(json.dumps(records))
 
 
+def _append_record(records, setting_id, outcome, probability):
+    for key, value in zip(("setting_id", "outcome", "probability"),
+                          (setting_id, outcome, probability)):
+        records[key].append(value)
+
+
 def test_reconstruct_duplicate_record_exits_2(tmp_path):
     out = tmp_path / "run"
-    _edit_exact_records(out, lambda rs: rs.append({**rs[0], "probability": 0.9}))
+    _edit_exact_records(out, lambda rs: _append_record(
+        rs, rs["setting_id"][0], rs["outcome"][0], 0.9))
     assert run(["reconstruct", "--out", out]) == 2
 
 
 def test_reconstruct_record_outside_family_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
-    _edit_exact_records(out, lambda rs: rs.append(
-        {"setting_id": "ZZZ", "outcome": "0", "probability": 1.0}))
+    _edit_exact_records(out, lambda rs: _append_record(rs, "ZZZ", "0", 1.0))
     assert run(["reconstruct", "--out", out]) == 2
     assert "('ZZZ', '0')" in capsys.readouterr().err
 
@@ -241,7 +247,7 @@ def test_reconstruct_incomplete_frame_exits_1(tmp_path, capsys):
 
 def test_reconstruct_probability_outside_unit_interval_exits_2(tmp_path):
     out = tmp_path / "run"
-    _edit_exact_records(out, lambda rs: rs[0].update(probability=7.5))
+    _edit_exact_records(out, lambda rs: rs["probability"].__setitem__(0, 7.5))
     assert run(["reconstruct", "--out", out]) == 2
 
 
@@ -276,17 +282,22 @@ def test_reconstruct_recipe_cap_above_file_builds_nothing(tmp_path, monkeypatch)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("shots, change", [
-    (50, {"shots_total": 10, "count": 0}), (50, {"count": 0}), (0, {"probability": 0.0}),
+@pytest.mark.parametrize("shots, column, value, message", [
+    (50, "shots", [50, 10], "shots is [50, 10]"),  # shots is stored once, for every setting
+    (50, "count", 0, "setting MP:X"), (0, "probability", 0.0, "setting MP:X"),
 ], ids=["shots_total", "count_sum", "probability_sum"])
-def test_reconstruct_inconsistent_setting_exits_2(tmp_path, capsys, shots, change):
+def test_reconstruct_inconsistent_setting_exits_2(tmp_path, capsys, shots, column, value,
+                                                  message):
     out = tmp_path / "run"
     assert run(["simulate", "--labs", 1, "--shots", shots, "--out", out]) == 0
     records = json.loads((out / "records.json").read_text())
-    next(r for r in records if r["setting_id"] == "MP:X").update(change)
+    if column == "shots":
+        records["shots"] = value
+    else:
+        records[column][records["setting_id"].index("MP:X")] = value
     (out / "records.json").write_text(json.dumps(records))
     assert run(["reconstruct", "--out", out]) == 2
-    assert "setting MP:X" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _edit_truth(change):

@@ -401,6 +401,19 @@ def test_weyl_family_builds_only_the_lab_unitaries_it_uses(monkeypatch):
     assert len(fam) == 8 and len(calls) <= 2
 
 
+def test_generated_element_repr_and_eq_build_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a per-element circuit or Choi was built")
+
+    fam = weyl_ancilla_family(2, 2)
+    monkeypatch.setattr(probe_factory, "ancilla_superinstrument", fail)
+    monkeypatch.setattr(probe_factory, "AncillaProbeSetting", fail)
+    text = repr(fam.settings())
+    assert "setting_id='wa:s0:th0', outcome='0'" in text and "choi" not in text
+    e0, e1 = fam.elements[:2]
+    assert e0 == e0 and e0 != e1 and len({e0, e1}) == 2
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_single_lab_circuits_equal_the_single_circuit_builder(d):
     states = tomography_state_vectors(d)

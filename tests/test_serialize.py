@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proctomo import serialize
+from proctomo import probe_factory, serialize
 from proctomo.errors import InvalidSetting, ParseError
 from proctomo.probe_factory import (
     KET0,
@@ -159,6 +159,18 @@ def test_records_roundtrip(qubit16):
         assert back == records
 
 
+def test_records_json_is_one_object_in_record_order(qubit16):
+    w = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=1)))
+    records = sample_shots(w, qubit16, 100, seed=2)
+    text = serialize.records_to_json(records)
+    assert text.count("\n") == 1
+    assert json.loads(text) == {"shots": 100, "setting_id": [r.setting_id for r in records],
+                                "outcome": [r.outcome for r in records],
+                                "count": [r.count for r in records]}
+    with pytest.raises(InvalidSetting):  # shots is stored once
+        serialize.records_to_json(records[:2] + [replace(records[2], shots_total=50)])
+
+
 def test_records_csv_columns(qubit16):
     w = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=1)))
     records = sample_shots(w, qubit16, 100, seed=2)
@@ -226,6 +238,14 @@ def test_manifests_rebuild_every_element(kind):
             assert np.max(np.abs(choi.mat - element.choi.mat)) <= 1e-12
             rebuilt += 1
     assert rebuilt == len(family)
+
+
+def test_manifests_of_a_generated_family_build_no_choi(monkeypatch):
+    family = weyl_ancilla_family(2, 2)
+    for module in (serialize, probe_factory):
+        monkeypatch.setattr(module, "ancilla_superinstrument",
+                            lambda *args: pytest.fail("a probe Choi was built"))
+    assert len(serialize.family_manifests(family)) == 1024
 
 
 def test_manifests_reject_family_without_circuits():
