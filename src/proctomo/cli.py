@@ -154,7 +154,10 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     rec_path = os.path.join(cfg.out, "records.json")
     if not (os.path.exists(fam_path) and os.path.exists(rec_path)):
         raise ConfigError(f"out dir {cfg.out!r} lacks simulate artifacts")
-    family = serialize.load_family(fam_path)
+    try:
+        family = serialize.load_family(fam_path)
+    except ParseError as exc:
+        raise ParseError(f"{fam_path}: {exc}") from exc
     with open(rec_path) as fh:
         try:
             records = serialize.records_from_json(fh.read())
@@ -168,11 +171,11 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     truth_path = os.path.join(cfg.out, "w_true.json")
     if os.path.exists(truth_path):
         with open(truth_path) as fh:
-            try:
+            try:  # a truth whose labels are not the frame's does not fit this run either
                 w_true = serialize.operator_from_json(json.load(fh))
-            except json.JSONDecodeError as exc:
+                report.metrics = tomography.reconstruction_metrics(w_true, report.w_est)
+            except (json.JSONDecodeError, ProctomoError) as exc:
                 raise ParseError(f"bad {truth_path}: {exc}") from exc
-        report.metrics = tomography.reconstruction_metrics(w_true, report.w_est)
     payload = report.as_dict()
     payload["w_est"] = serialize.operator_to_json(report.w_est)
     _write_json(os.path.join(cfg.out, "report.json"), payload)

@@ -5,7 +5,9 @@ N labs, phase filters, and operator Schmidt ranks.
 All probes are Choi operators on the per-lab (Input, Output) factors in
 canonical order (I1, O1, I2, O2, ...). The ancilla is a single qubit prepared
 in |0>, threaded through every lab, and measured in the computational basis at
-the end; phase gates on the ancilla sit between consecutive labs.
+the end; phase gates on the ancilla sit between consecutive labs. A probe
+element is one ancilla outcome of one circuit of a batch, and its Choi is built
+from that circuit when read.
 """
 
 import enum
@@ -40,8 +42,6 @@ from .tensor_core import (
     LabeledOperator,
     Role,
     SpaceLabel,
-    canonical_order,
-    canonicalize,
     permute_systems,
     sqrt_psd,
 )
@@ -57,20 +57,28 @@ class Provenance(enum.Enum):
     CUSTOM = "Custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeElement:
-    """One probe. A hand-built element holds its Choi; a generated one is a _GeneratedElement."""
+    """One probe: ancilla outcome m of circuit `row` of its circuit batch. Its labels,
+    circuit (built on first read, shared by the circuit's outcomes) and Choi are read from
+    there; repr, == and hash read only the id and outcome, so they build nothing."""
     setting_id: str
     outcome: str
-    # circuit: built from, shared by the circuit's outcomes. repr, == and hash read
-    # neither field, so they build nothing.
-    choi: LabeledOperator = field(repr=False, compare=False)
-    circuit: "AncillaProbeSetting | None" = field(default=None, repr=False, compare=False)
-    _source = None  # not a field: (batch, circuit row, ancilla outcome) of a _GeneratedElement
+    batch: "_CircuitBatch" = field(repr=False, compare=False)
+    row: int = field(repr=False, compare=False)
+    m: int = field(repr=False, compare=False)
 
     @property
-    def labels(self) -> tuple[SpaceLabel, ...]:  # read without building a generated Choi
-        return self.choi.labels if self._source is None else self._source[0].labels
+    def labels(self) -> tuple[SpaceLabel, ...]:
+        return self.batch.labels
+
+    @property
+    def circuit(self) -> "AncillaProbeSetting":
+        return self.batch.circuit(self.row)
+
+    @property
+    def choi(self) -> LabeledOperator:
+        return ancilla_superinstrument(self.circuit, self.labels[0].lab)[self.m]
 
     @property
     def record_key(self) -> tuple[str, str]:
@@ -99,39 +107,22 @@ class ProbeFamily:
 
     @property
     def labels(self) -> tuple[SpaceLabel, ...]:  # canonical order, as in choi_chunks
-        return canonical_order(self.elements[0].labels)
+        return self.elements[0].labels
 
     def chois(self) -> list[LabeledOperator]:
         return [e.choi for e in self.elements]
 
     def choi_chunks(self):
-        """The canonical Chois, CHUNK at a time: tau tau^dag if all elements are generated."""
-        sources = [e._source for e in self.elements]
-        generated = all(sources)
-        for i in range(0, len(sources), CHUNK):
-            if generated:
-                taus = np.stack([b.taus[row, :, m] for b, row, m in sources[i:i + CHUNK]])
-                yield taus[:, :, None] * taus.conj()[:, None, :]
-            else:
-                yield np.stack([canonicalize(e.choi).mat for e in self.elements[i:i + CHUNK]])
+        """The canonical Chois tau tau^dag, CHUNK at a time."""
+        for i in range(0, len(self.elements), CHUNK):
+            taus = np.stack([e.batch.taus[e.row, :, e.m] for e in self.elements[i:i + CHUNK]])
+            yield taus[:, :, None] * taus.conj()[:, None, :]
 
     def settings(self) -> dict[str, list[ProbeElement]]:
         grouped: dict[str, list[ProbeElement]] = {}
         for e in self.elements:
             grouped.setdefault(e.setting_id, []).append(e)
         return grouped
-
-
-class _GeneratedElement(ProbeElement):
-    """Builds its circuit (shared by the circuit's outcomes) and Choi on first read."""
-
-    @functools.cached_property
-    def circuit(self) -> "AncillaProbeSetting":
-        return self._source[0].circuit(self._source[1])
-
-    @functools.cached_property
-    def choi(self) -> LabeledOperator:
-        return ancilla_superinstrument(self.circuit, self.labels[0].lab)[self._source[2]]
 
 
 def lab_labels(lab: int, d: int) -> tuple[SpaceLabel, SpaceLabel]:
@@ -390,14 +381,9 @@ class _CircuitBatch:
 
     def elements(self, setting_ids, outcomes) -> list[ProbeElement]:
         """Circuit b's elements: setting id setting_ids[b], outcomes[b][m] for ancilla outcome m."""
-        elems = []
-        for row, (sid, labels) in enumerate(zip(setting_ids, outcomes)):
-            for m, label in enumerate(labels):
-                e = object.__new__(_GeneratedElement)
-                for name, v in ("setting_id", sid), ("outcome", label), ("_source", (self, row, m)):
-                    object.__setattr__(e, name, v)  # not via __dict__: stays compact
-                elems.append(e)
-        return elems
+        return [ProbeElement(sid, label, self, row, m)
+                for row, (sid, labels) in enumerate(zip(setting_ids, outcomes))
+                for m, label in enumerate(labels)]
 
 
 def phase_filter(samples, links: int = 1) -> np.ndarray:

@@ -4,10 +4,10 @@ Complex matrices serialize as row-major arrays of [re, im] pairs together with
 a labels header of {lab, role, dim} records. Floats go through repr, so a
 parse -> serialize round trip is bit-identical.
 
-A probe family is stored as its generator's recipe in a header line, then one
-{setting, outcome} line per element; reading regenerates the family and checks
-each line. A hand-built family has no recipe and cannot be stored. Experiment
-records are one object of parallel lists in record order, with shots once.
+A probe family is stored as one header line: its provenance, element count and
+generator's recipe. Reading regenerates the family, capped at that count. A
+hand-built family has no recipe and cannot be stored. Experiment records are
+one object of parallel lists in record order, with shots once.
 """
 
 import collections
@@ -19,9 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InvalidSetting, OutOfBudget, ParseError, ProctomoError
-from .probe_factory import (GENERATORS, ProbeElement, ProbeFamily, Provenance,
-                            ancilla_superinstrument)
+from .errors import InvalidSetting, ParseError, ProctomoError
+from .probe_factory import GENERATORS, ProbeFamily, Provenance
 from .process_sim import NEGATIVITY_TOL, ExperimentRecord
 from .tensor_core import LabeledOperator, Role, SpaceLabel
 
@@ -39,7 +38,11 @@ def labels_to_json(labels) -> list:
 
 
 def labels_from_json(items) -> tuple[SpaceLabel, ...]:
-    return tuple(SpaceLabel(int(d["lab"]), Role(d["role"]), int(d["dim"])) for d in items)
+    labels = tuple(SpaceLabel(d["lab"], Role(d["role"]), d["dim"]) for d in items)
+    for l in labels:
+        if type(l.lab) is not int or type(l.dim) is not int:
+            raise TypeError(f"label {l!r}: lab and dim must be ints")
+    return labels
 
 
 def operator_to_json(op: LabeledOperator) -> dict:
@@ -49,7 +52,7 @@ def operator_to_json(op: LabeledOperator) -> dict:
 def operator_from_json(data) -> LabeledOperator:
     try:
         return LabeledOperator(labels_from_json(data["labels"]), pairs_to_matrix(data["matrix"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad operator: {exc!r}") from exc
 
 
@@ -57,26 +60,23 @@ def operator_from_json(data) -> LabeledOperator:
 # Probe families (JSON lines)
 # ---------------------------------------------------------------------------
 
-def element_id_json(e: ProbeElement) -> dict:
-    return {"setting": e.setting_id, "outcome": e.outcome}
-
-
 def family_to_jsonl(family: ProbeFamily) -> str:
-    """Header line with the generator's recipe, then one line per element.
+    """The header line alone: provenance, element count and the generator's recipe.
     A family without a recipe (hand-built) raises InvalidSetting."""
     if family.recipe is None:
         raise InvalidSetting("only a generated family can be saved; this one has no recipe")
-    header = {"type": "probe_family", "provenance": family.provenance.value,
-              "count": len(family), "recipe": family.recipe}
-    return "\n".join(json.dumps(x) for x in [header, *map(element_id_json, family)]) + "\n"
+    return json.dumps({"type": "probe_family", "provenance": family.provenance.value,
+                       "count": len(family), "recipe": family.recipe}) + "\n"
 
 
 def family_from_jsonl(text: str) -> ProbeFamily:
-    """Inverse of family_to_jsonl: the family is rebuilt by the generator of
-    its recipe, at most as long as the file, and each line must match it."""
+    """Inverse of family_to_jsonl: the family is rebuilt by the generator of its
+    recipe, capped at the header's count before anything is built."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty probe family file", line=1)
+    if len(lines) > 1:
+        raise ParseError("a probe family file is one header line", line=2)
     try:
         header = json.loads(lines[0])
         if not isinstance(header, dict):
@@ -84,37 +84,23 @@ def family_from_jsonl(text: str) -> ProbeFamily:
         provenance = Provenance(header.get("provenance", "Custom"))
     except (json.JSONDecodeError, ValueError) as exc:
         raise ParseError(f"bad family header: {exc}", line=1) from exc
-    recipe = header.get("recipe")
-    items = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            items.append((i, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad probe element: {exc}", line=i) from exc
-    if "count" in header and header["count"] != len(items):
-        raise ParseError(f"expected {header['count']} elements, found {len(items)}",
-                         line=len(lines))
+    count, recipe = header.get("count"), header.get("recipe")
+    if type(count) is not int or count < 0:
+        raise ParseError(f"count is {count!r}, not a non-negative int", line=1)
     generator = GENERATORS.get(provenance)
     if generator is None or not isinstance(recipe, dict) or not all(
             v is None or type(v) is int for v in recipe.values()):
         raise ParseError(f"bad recipe {recipe!r} for provenance {provenance.value}", line=1)
-    # cap the generator at the listed count, so an oversized recipe builds nothing
+    # cap the generator at the count, so an oversized recipe builds nothing
     bounded = ("element_cap" in inspect.signature(generator).parameters
-               and (recipe.get("element_cap") is None or recipe["element_cap"] > len(items)))
-    kwargs = {**recipe, "element_cap": len(items)} if bounded else recipe
+               and (recipe.get("element_cap") is None or recipe["element_cap"] > count))
+    kwargs = {**recipe, "element_cap": count} if bounded else recipe
     try:
         family = replace(generator(**kwargs), recipe=recipe)
     except (TypeError, ValueError, ProctomoError) as exc:
-        line = len(lines) if bounded and isinstance(exc, OutOfBudget) else 1  # count mismatch
-        raise ParseError(f"bad recipe {recipe!r}: {exc}", line=line) from exc
-    if len(family) != len(items):
-        raise ParseError(f"recipe gives {len(family)} elements", line=len(lines))
-    for (i, data), e in zip(items, family):
-        if data != element_id_json(e):
-            raise ParseError(f"element {data!r} is not {element_id_json(e)!r}, "
-                             f"which the recipe gives", line=i)
+        raise ParseError(f"bad recipe {recipe!r}: {exc}", line=1) from exc
+    if len(family) != count:
+        raise ParseError(f"recipe gives {len(family)} elements, not {count}", line=1)
     return family
 
 
@@ -201,24 +187,18 @@ def records_to_csv(records) -> str:
 # ---------------------------------------------------------------------------
 
 def family_manifests(family: ProbeFamily) -> list[dict]:
-    """One manifest per setting, read from the one circuit its elements hold:
-    ancilla state, joint system (x) ancilla lab unitaries, the phase gate
-    angles between labs, and the final Z measurement of the ancilla, whose
-    outcome m is the setting's m-th outcome. A generated element's ancilla
-    outcome index confirms that; a stored Choi is compared with the Choi rebuilt
-    from the circuit. Native-gate decomposition is not done."""
+    """One manifest per setting, whose elements must be the ancilla outcomes 0, 1, ...
+    of one circuit: ancilla state, joint system (x) ancilla lab unitaries, the phase
+    gate angles between labs, and the final Z measurement of the ancilla, whose
+    outcome m is the setting's m-th outcome. Native-gate decomposition is not done."""
     manifests = []
     for sid, elems in family.settings().items():
-        circuit, first_lab = elems[0].circuit, elems[0].labels[0].lab
-        chois = (() if circuit is None else (None, None) if all(e._source for e in elems)
-                 else ancilla_superinstrument(circuit, first_lab))
-        if len(elems) > len(chois) or not all(
-                e.circuit is circuit and (e._source[2] == m if e._source else
-                                          e.choi.labels == c.labels
-                                          and np.array_equal(e.choi.mat, c.mat))
-                for m, (e, c) in enumerate(zip(elems, chois))):
+        e0 = elems[0]
+        if not all(e.batch is e0.batch and e.row == e0.row and e.m == m
+                   for m, e in enumerate(elems)):
             raise InvalidSetting(f"setting {sid!r} is not the outcomes 0, 1, ... of one "
                                  f"qubit-ancilla circuit")
+        circuit = e0.circuit
         manifests.append({"setting": sid, "outcomes": [e.outcome for e in elems],
                           "ancilla_prep": [[float(x.real), float(x.imag)] for x in circuit.psi],
                           "labs": [matrix_to_pairs(u) for u in circuit.lab_unitaries],

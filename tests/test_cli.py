@@ -110,12 +110,22 @@ def test_reconstruct_count_outside_shots_exits_2(tmp_path, count):
 def test_reconstruct_tampered_family_exits_2(tmp_path):
     out = tmp_path / "run"
     assert run(["simulate", "--labs", 2, "--dim", 2, "--subsample", 3, "--out", out]) == 0
-    lines = (out / "family.jsonl").read_text().splitlines()
-    element = json.loads(lines[3])
-    element["setting"] = "wa:s0:th1"
-    lines[3] = json.dumps(element)
-    (out / "family.jsonl").write_text("\n".join(lines) + "\n")
+    header = json.loads((out / "family.jsonl").read_text())
+    header["count"] += 1
+    (out / "family.jsonl").write_text(json.dumps(header) + "\n")
     assert run(["reconstruct", "--out", out]) == 2
+
+
+def test_reconstruct_family_of_another_subsample_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 2, "--dim", 2, "--subsample", 3, "--seed", 1,
+                "--out", out]) == 0
+    header = json.loads((out / "family.jsonl").read_text())
+    header["recipe"]["seed"] = 2  # a valid header whose settings are not the records'
+    (out / "family.jsonl").write_text(json.dumps(header) + "\n")
+    assert run(["reconstruct", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "records.json does not fit" in err and "family.jsonl" in err
 
 
 def test_config_wrong_type_exits_2(tmp_path):
@@ -196,7 +206,9 @@ def test_reconstruct_oversized_recipe_exits_2_quickly(tmp_path, provenance, reci
 
 @pytest.mark.parametrize("edit, line", [
     (lambda lines: lines[0].update(recipe=None), 1),  # a hand-built family
-    (lambda lines: lines[1].update(meta={"effect": 0, "prep": 0}), 2),  # the old element lines
+    # an element line, which every element had before the file was its header alone
+    (lambda lines: lines.append({"setting": "wa:s0", "outcome": "0",
+                                 "meta": {"effect": 0, "prep": 0}}), 2),
 ], ids=["no_recipe", "element_meta"])
 def test_reconstruct_family_file_outside_the_format_exits_2(tmp_path, capsys, edit, line):
     out = tmp_path / "run"
@@ -323,6 +335,21 @@ def test_reconstruct_malformed_truth_exits_2(tmp_path, capsys, corrupt):
     truth.write_text(corrupt(truth.read_text()))
     assert run(["reconstruct", "--out", out]) == 2
     assert "error: bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", [
+    _edit_truth(lambda w: w["labels"][0].update(lab=float("inf"))),
+    _edit_truth(lambda w: w["labels"][0].update(dim=float("inf"))),
+    _edit_truth(lambda w: w["labels"][0].update(lab=1.5)),
+    _edit_truth(lambda w: w["matrix"][0][0].__setitem__(0, 10 ** 400)),
+], ids=["lab_infinity", "dim_infinity", "lab_float", "huge_entry"])
+def test_reconstruct_truth_number_outside_its_type_exits_2(tmp_path, capsys, corrupt):
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    truth = out / "w_true.json"
+    truth.write_text(corrupt(truth.read_text()))
+    assert run(["reconstruct", "--out", out]) == 2
+    assert f"error: bad {truth}: bad operator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

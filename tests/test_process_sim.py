@@ -14,7 +14,6 @@ from proctomo.op_basis import haar_state, haar_unitary
 from proctomo.probe_factory import (
     KET0,
     AncillaProbeSetting,
-    ProbeElement,
     ProbeFamily,
     ancilla_superinstrument,
     qubit16_family,
@@ -235,9 +234,8 @@ def test_born_label_mismatch(rng):
 def test_born_negative_probability_guard():
     wi = interior_only(build_process(preset_process("IdentityWire", 1, 2)))
     labels = wi.op.labels
-    bogus = ProbeElement("bad", "0", LabeledOperator(labels, -np.eye(4)))
     with pytest.raises(NegativeProbability):
-        born_probability(wi, bogus)
+        born_probability(wi, LabeledOperator(labels, -np.eye(4)))
 
 
 def test_markov_probabilities_factorize(rng):
@@ -255,8 +253,7 @@ def test_markov_probabilities_factorize(rng):
     a2, psi2 = haar_state(2, rng), haar_state(2, rng)
     e1, _ = measure_prepare_instrument(a1, psi1, lab=1)
     e2, _ = measure_prepare_instrument(a2, psi2, lab=2)
-    joint = ProbeElement("joint", "0", tensor(e1.choi, e2.choi))
-    p_joint = born_probability(wi, joint)
+    p_joint = born_probability(wi, tensor(e1.choi, e2.choi))
     rho1 = dep(rho)
     p1 = (a1.conj() @ rho1 @ a1).real
     rho2 = dep(np.outer(psi1, psi1.conj()))

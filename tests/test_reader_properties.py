@@ -17,6 +17,7 @@ JSON = st.recursive(
 ODD_VALUES = st.sampled_from([True, False, None, -1, 0, 1, 51, 0.5, 1.0, 1 + 1e-7, 50.0,
                               float("nan"), float("inf"), "0", "MP:X", [], {}]) | JSON
 MUTATIONS = ["any", "drop", "value", "shorten", "entry", "duplicate", "old"]
+NUMBERS = st.sampled_from([10 ** 400, -10 ** 400, float("inf"), float("-inf"), float("nan")])
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +71,52 @@ def test_reconstruct_any_records_file_exits_0_1_or_2(runs, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert "records.json" in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def truth_run(tmp_path_factory):
+    """A valid single-lab run with exact data, whose w_true.json each example rewrites."""
+    out = tmp_path_factory.mktemp("truth") / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--labs", "1", "--out", str(out)]) == 0
+    return out, json.loads((out / "w_true.json").read_text())
+
+
+@st.composite
+def truth_texts(draw, valid):
+    """Any JSON value, or one mutation of a valid w_true.json: a dropped key, an odd
+    value, a shortened matrix or row, an odd entry, or a huge or infinite number."""
+    data = json.loads(json.dumps(valid))
+    kind = draw(st.sampled_from(["any", "drop", "value", "shorten", "entry", "number"]))
+    holder = draw(st.sampled_from([data, *data["labels"]]))  # the top level or one label
+    key = draw(st.sampled_from(sorted(holder)))
+    i, j = (draw(st.integers(0, len(data["matrix"]) - 1)) for _ in range(2))
+    if kind == "any":
+        data = draw(JSON)
+    elif kind == "drop":
+        del holder[key]
+    elif kind == "value":
+        holder[key] = draw(ODD_VALUES)
+    elif kind == "shorten":
+        del (data["matrix"] if draw(st.booleans()) else data["matrix"][i])[j]
+    elif kind == "entry":
+        data["matrix"][i][j] = draw(ODD_VALUES)
+    elif draw(st.booleans()):
+        data["matrix"][i][j][draw(st.integers(0, 1))] = draw(NUMBERS)
+    else:
+        draw(st.sampled_from(data["labels"]))[draw(st.sampled_from(["lab", "dim"]))] = \
+            draw(NUMBERS)
+    return json.dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reconstruct_any_truth_file_exits_0_1_or_2(truth_run, data):
+    out, valid = truth_run
+    (out / "w_true.json").write_text(data.draw(truth_texts(valid)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["reconstruct", "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "w_true.json" in err.getvalue()

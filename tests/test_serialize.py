@@ -50,21 +50,18 @@ def test_family_roundtrip_weyl_n2(tmp_path, weyl_n2):
     serialize.save_family(weyl_n2, path)
     with open(path) as fh:
         n_lines = sum(1 for _ in fh)
-    assert n_lines == 2048 + 1  # header + one element per line
+    assert n_lines == 1  # the header alone
     back = serialize.load_family(path)
     assert len(back) == 2048
     for a, b in zip(list(weyl_n2)[::97], list(back)[::97]):
         assert np.array_equal(a.choi.mat, b.choi.mat)
 
 
-def test_family_truncated_file_reports_line(tmp_path, qubit16):
+def test_family_truncated_file_reports_line(qubit16):
     text = serialize.family_to_jsonl(qubit16)
-    lines = text.splitlines()
-    lines[5] = lines[5][: len(lines[5]) // 2]  # cut a JSON line in half
-    broken = "\n".join(lines[:6])
     with pytest.raises(ParseError) as err:
-        serialize.family_from_jsonl(broken)
-    assert err.value.line == 6
+        serialize.family_from_jsonl(text[: len(text) // 2])  # cut the header in half
+    assert err.value.line == 1
 
 
 GENERATOR_ARGS = {
@@ -108,8 +105,7 @@ def test_hand_built_family_is_not_saved(tmp_path, qubit16):
 
 
 def _tampered(edit):
-    """family.jsonl lines of a small N=2 family after edit(lines); the header
-    is line 1 and element k is on line k + 2."""
+    """family.jsonl of a small N=2 family after edit(lines); the header is line 1."""
     family = weyl_ancilla_family(2, 2, subsample_settings=3, seed=1)
     lines = serialize.family_to_jsonl(family).splitlines()
     edit(lines)
@@ -125,13 +121,6 @@ def _edit_line(index, change):
 
 
 @pytest.mark.parametrize("edit, line", [
-    (_edit_line(4, lambda e: e.update(setting="wa:s0:th0")), 5),
-    (_edit_line(6, lambda e: e.update(outcome="1" if e["outcome"] == "0" else "0")), 7),
-    # an element line as written before lines held only setting and outcome
-    (_edit_line(9, lambda e: e.update(meta={"pairs": [[0, 5], [9, 2]], "thetas": [0.0],
-                                            "outcome": 0})), 10),
-    (lambda lines: lines.pop(8), 24),
-    (lambda lines: lines.append(lines[-1]), 26),
     (_edit_line(0, lambda h: h["recipe"].update(bogus=1)), 1),
     (_edit_line(0, lambda h: h["recipe"].update(d="2")), 1),
     (_edit_line(0, lambda h: h["recipe"].update(n_labs=0)), 1),
@@ -142,8 +131,17 @@ def _edit_line(index, change):
     (_edit_line(0, lambda h: h.update(recipe=None)), 1),
     (_edit_line(0, lambda h: h.update(provenance="MeasurePrepare",
                                       recipe={"d": 2, "lab": 1, "element_cap": 20000})), 1),
-    (_edit_line(0, lambda h: h["recipe"].update(seed=2)), 2),
-    (_edit_line(0, lambda h: h["recipe"].update(subsample_settings=4)), 25),
+    (_edit_line(0, lambda h: h["recipe"].update(subsample_settings=4)), 1),
+    (lambda lines: lines.append(lines[-1]), 2),  # any second line
+    (_edit_line(0, lambda h: h.update(count=23)), 1),  # the cap stops the generator
+    (_edit_line(0, lambda h: h.update(count=25)), 1),
+    (_edit_line(0, lambda h: h.update(count=True)), 1),
+    (_edit_line(0, lambda h: h.update(count=-1)), 1),
+    (_edit_line(0, lambda h: h.pop("count")), 1),
+    # recipes far beyond their count, which the cap rejects before building anything
+    (_edit_line(0, lambda h: h.update(count=1, recipe={"n_labs": 1, "d": 40})), 1),
+    (_edit_line(0, lambda h: h.update(count=1, recipe={"n_labs": 1, "d": 7,
+                                                       "element_cap": 10 ** 9})), 1),
 ])
 def test_tampered_recipe_family_reports_line(edit, line):
     with pytest.raises(ParseError) as err:
@@ -242,20 +240,17 @@ def test_manifests_rebuild_every_element(kind):
 
 def test_manifests_of_a_generated_family_build_no_choi(monkeypatch):
     family = weyl_ancilla_family(2, 2)
-    for module in (serialize, probe_factory):
-        monkeypatch.setattr(module, "ancilla_superinstrument",
-                            lambda *args: pytest.fail("a probe Choi was built"))
+    monkeypatch.setattr(probe_factory, "ancilla_superinstrument",
+                        lambda *args: pytest.fail("a probe Choi was built"))
     assert len(serialize.family_manifests(family)) == 1024
 
 
 def test_manifests_reject_family_without_circuits():
     e0, e1, _, y1 = qubit16_family().elements[10:14]  # MP:X "+", "-"; MP:Y "+", "-"
-    with pytest.raises(InvalidSetting) as err:  # a hand-built element with no circuit
-        serialize.family_manifests(ProbeFamily((replace(e0, circuit=None),)))
-    assert "MP:X" in str(err.value)
-    with pytest.raises(InvalidSetting):  # outcome labels out of circuit order
+    with pytest.raises(InvalidSetting) as err:  # outcome labels out of circuit order
         serialize.family_manifests(ProbeFamily((e1, e0)))
+    assert "MP:X" in str(err.value)
     with pytest.raises(InvalidSetting):  # one setting, two different circuits
         serialize.family_manifests(ProbeFamily((e0, replace(y1, setting_id="MP:X"))))
-    with pytest.raises(InvalidSetting):  # one circuit, but outcome 1 holds outcome 0's Choi
-        serialize.family_manifests(ProbeFamily((e0, replace(e1, choi=e0.choi))))
+    with pytest.raises(InvalidSetting):  # one circuit, but both elements are ancilla outcome 0
+        serialize.family_manifests(ProbeFamily((e0, replace(e0, outcome="-"))))
