@@ -307,23 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proctomo",
         description="Multi-time process simulation and tomography pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--labs", type=int, default=None)
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--preset", default=None)
-        p.add_argument("--p", type=float, default=None, dest="p")
-        p.add_argument("--d-env", type=int, default=None, dest="d_env")
-        p.add_argument("--family", default=None)
-        p.add_argument("--subsample", type=int, default=None)
-        p.add_argument("--prep", default=None)
-        p.add_argument("--project-psd", action="store_const", const=True,
-                       default=None, dest="project_psd")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--dim", type=int, default=None)
+    parser.add_argument("--labs", type=int, default=None)
+    parser.add_argument("--shots", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--preset", default=None)
+    parser.add_argument("--p", type=float, default=None, dest="p")
+    parser.add_argument("--d-env", type=int, default=None, dest="d_env")
+    parser.add_argument("--family", default=None)
+    parser.add_argument("--subsample", type=int, default=None)
+    parser.add_argument("--prep", default=None)
+    parser.add_argument("--project-psd", action="store_const", const=True,
+                        default=None, dest="project_psd")
     return parser
 
 

@@ -7,7 +7,7 @@ canonical order (I1, O1, I2, O2, ...). The ancilla is a single qubit prepared
 in |0>, threaded through every lab, and measured in the computational basis at
 the end; phase gates on the ancilla sit between consecutive labs. A probe
 element is one ancilla outcome of one circuit of a batch, and its Choi is built
-from that circuit when read.
+from that circuit's tau in the batch when read.
 """
 
 import enum
@@ -39,6 +39,7 @@ from .op_basis import (
 )
 from .tensor_core import (
     DEFAULT_TOL,
+    MAX_SIDE,
     LabeledOperator,
     Role,
     SpaceLabel,
@@ -78,7 +79,8 @@ class ProbeElement:
 
     @property
     def choi(self) -> LabeledOperator:
-        return ancilla_superinstrument(self.circuit, self.labels[0].lab)[self.m]
+        tau = self.batch.taus[self.row, :, self.m]
+        return LabeledOperator(self.labels, np.outer(tau, tau.conj()))
 
     @property
     def record_key(self) -> tuple[str, str]:
@@ -119,9 +121,13 @@ class ProbeFamily:
             yield taus[:, :, None] * taus.conj()[:, None, :]
 
     def settings(self) -> dict[str, list[ProbeElement]]:
+        """Runs of consecutive elements that share a setting id, in family order;
+        an id in two runs raises InvalidSetting."""
         grouped: dict[str, list[ProbeElement]] = {}
-        for e in self.elements:
-            grouped.setdefault(e.setting_id, []).append(e)
+        for sid, run in itertools.groupby(self.elements, key=lambda e: e.setting_id):
+            if sid in grouped:
+                raise InvalidSetting(f"setting {sid!r} is not one run of consecutive elements")
+            grouped[sid] = list(run)
         return grouped
 
 
@@ -474,11 +480,13 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     d^2 directions; there setting s = effect * d^2 + prep runs the
     measure-and-prepare circuit over the state-tomography grid, keeping the
     d^4 settings x 2 outcomes layout. Settings may be subsampled
-    deterministically; with or without a subsample, exceeding element_cap
-    raises OutOfBudget before any element is built.
+    deterministically; with or without a subsample, exceeding element_cap, or a
+    probe side d^(2N) above MAX_SIDE, raises OutOfBudget before any element is built.
     """
     if n_labs < 1 or d < 2:
         raise InvalidSetting("need n_labs >= 1 and d >= 2")
+    if d ** (2 * n_labs) > MAX_SIDE:
+        raise OutOfBudget(f"probe side d^(2N) = {d ** (2 * n_labs)} exceeds {MAX_SIDE}")
     recipe = {"n_labs": n_labs, "d": d, "element_cap": element_cap,
               "subsample_settings": subsample_settings, "seed": seed}
     n_settings = (d * d) ** (2 * n_labs)

@@ -27,6 +27,7 @@ from .errors import (
 from .op_basis import haar_unitary
 from .probe_factory import ProbeElement, ProbeFamily
 from .tensor_core import (
+    MAX_SIDE,
     LabeledOperator,
     Role,
     SpaceLabel,
@@ -80,6 +81,9 @@ class ProcessSpec:
     def __post_init__(self):
         if self.n_labs < 1 or self.d_sys < 2 or self.d_env < 1:
             raise InvalidSpec("need n_labs >= 1, d_sys >= 2, d_env >= 1")
+        side = self.d_sys ** (2 * self.n_labs + 2)  # the full W, boundary wires included
+        if side > MAX_SIDE:
+            raise InvalidSpec(f"process side d_sys^(2N+2) = {side} exceeds {MAX_SIDE}")
         if (self.unitaries is None) == (self.channels is None):
             raise InvalidSpec("exactly one of unitaries/channels must be given")
         n_steps = self.n_labs + 1
@@ -230,12 +234,15 @@ def interior_only(w: ProcessMatrix, prep: np.ndarray | None = None) -> ProcessMa
 # Born rule and sampling
 # ---------------------------------------------------------------------------
 
-def _checked_probability(val: complex) -> float:
-    if abs(val.imag) > NEGATIVITY_TOL:
-        raise NegativeProbability(f"Born value has imaginary part {val.imag:.3e}")
-    if val.real < -NEGATIVITY_TOL:
-        raise NegativeProbability(f"Born probability {val.real:.3e} below -{NEGATIVITY_TOL}")
-    return max(float(val.real), 0.0)
+def _checked_probabilities(vals) -> np.ndarray:
+    """max(real, 0) of Born values; NegativeProbability beyond NEGATIVITY_TOL."""
+    vals = np.asarray(vals)
+    if np.any(np.abs(vals.imag) > NEGATIVITY_TOL):
+        raise NegativeProbability(f"Born value has imaginary part {np.max(np.abs(vals.imag)):.3e}")
+    if np.any(vals.real < -NEGATIVITY_TOL):
+        raise NegativeProbability(
+            f"Born probability {np.min(vals.real):.3e} below -{NEGATIVITY_TOL}")
+    return np.where(vals.real < 0, 0.0, vals.real)  # keeps the sign of a zero, as max(real, 0.0)
 
 
 def born_probability(w: ProcessMatrix | LabeledOperator, probe) -> float:
@@ -245,7 +252,7 @@ def born_probability(w: ProcessMatrix | LabeledOperator, probe) -> float:
     wop, top = canonicalize(wop), canonicalize(top)
     if wop.keys != top.keys:
         raise DimMismatch(f"process labels {wop.keys} do not match probe labels {top.keys}")
-    return _checked_probability(complex(np.sum(wop.mat * top.mat)))
+    return float(_checked_probabilities(np.sum(wop.mat * top.mat)))
 
 
 def born_probabilities(w, family: ProbeFamily) -> list[float]:
@@ -259,7 +266,7 @@ def born_probabilities(w, family: ProbeFamily) -> list[float]:
         raise DimMismatch(f"process labels {wop.keys} do not match probe labels {keys}")
     wvec = wop.mat.reshape(-1)
     vals = np.concatenate([c.reshape(len(c), -1) @ wvec for c in family.choi_chunks()])
-    return [_checked_probability(val) for val in vals]
+    return _checked_probabilities(vals).tolist()
 
 
 @dataclass(frozen=True)
@@ -278,30 +285,22 @@ class ExperimentRecord:
 
 def sample_shots(w, family: ProbeFamily, shots: int,
                  seed: int = 0) -> list[ExperimentRecord]:
-    """Multinomial draws per setting with per-setting derived seeds.
-
-    shots = 0 emits the exact probabilities instead. Records follow the family
-    enumeration order; identical (family, shots, seed) give identical records.
-    """
+    """One multinomial draw per setting (a run of ProbeFamily.settings) in family order,
+    all from derive_rng(seed, "shots"); shots = 0 emits the exact probabilities instead.
+    Records follow the family order; identical (family, shots, seed) give identical records."""
     probs = born_probabilities(w, family)
-    by_setting: dict[str, list[tuple[ProbeElement, float]]] = {}
-    for e, p in zip(family, probs):
-        by_setting.setdefault(e.setting_id, []).append((e, p))
-    records: dict[tuple[str, str], ExperimentRecord] = {}
-    for sid, pairs in by_setting.items():
-        total = sum(p for _, p in pairs)
+    rng = derive_rng(seed, "shots")
+    records, start = [], 0
+    for sid, elems in family.settings().items():
+        pvec, start = probs[start:start + len(elems)], start + len(elems)
+        total = sum(pvec)
         if abs(total - 1.0) > NEGATIVITY_TOL:
-            raise NotNormalizedSetting(
-                f"setting {sid!r} outcome probabilities sum to {total:.10f}")
+            raise NotNormalizedSetting(f"setting {sid!r} outcome probabilities sum to {total:.10f}")
         if shots == 0:
-            for e, p in pairs:
-                records[e.record_key] = ExperimentRecord(sid, e.outcome, probability=p)
-            continue
-        rng = derive_rng(seed, "shots", sid)
-        pvec = np.array([max(p, 0.0) for _, p in pairs])
-        pvec = pvec / pvec.sum()
-        counts = rng.multinomial(shots, pvec)
-        for (e, _), c in zip(pairs, counts):
-            records[e.record_key] = ExperimentRecord(sid, e.outcome, count=int(c),
-                                                     shots_total=shots)
-    return [records[e.record_key] for e in family]
+            records += [ExperimentRecord(sid, e.outcome, probability=p)
+                        for e, p in zip(elems, pvec)]
+        else:
+            counts = rng.multinomial(shots, np.divide(pvec, total)).tolist()
+            records += [ExperimentRecord(sid, e.outcome, count=c, shots_total=shots)
+                        for e, c in zip(elems, counts)]
+    return records

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DuplicateLabel, NotAPermutation, NotPSD, UnknownLabel
 
 DEFAULT_TOL = 1e-10
+MAX_SIDE = 4096  # largest operator side the pipeline builds: a probe Choi or a full W
 
 
 class Role(enum.Enum):

@@ -19,10 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .choi_link import CombDirection, validate_comb
-from .errors import DimMismatch, EmptyFamily, MissingData, NotIC, OutsideSpan, UnexpectedRecord
+from .errors import (
+    DimMismatch,
+    EmptyFamily,
+    MissingData,
+    NotIC,
+    NotPSD,
+    OutsideSpan,
+    UnexpectedRecord,
+)
 from .probe_factory import ProbeFamily
 from .process_sim import ExperimentRecord
-from .tensor_core import LabeledOperator, canonicalize, permute_systems, sqrt_psd
+from .tensor_core import LabeledOperator, canonicalize, sqrt_psd
 
 
 def hermitian_coords(mats: np.ndarray) -> np.ndarray:
@@ -210,12 +218,9 @@ def estimate_functional(o: LabeledOperator, bundle: FrameBundle, data):
     span within a relative residual of 1e-8. A non-Hermitian O = H + iK is
     expanded through H and K, which gives complex coefficients.
     """
-    o = canonicalize(o)
+    o = canonicalize(o)  # the frame's labels are canonical too, so no other order can match
     if o.labels != bundle.labels:
-        try:
-            o = permute_systems(o, bundle.labels)
-        except Exception as exc:
-            raise DimMismatch(f"observable labels {o.keys} vs frame {bundle.labels}") from exc
+        raise DimMismatch(f"observable labels {o.labels} vs frame {bundle.labels}")
     herm, skew = (o.mat + o.mat.conj().T) / 2, (o.mat - o.mat.conj().T) / 2j  # O = H + iK
     parts = hermitian_coords(np.stack([herm, skew] if np.any(skew) else [herm]))
     # one matrix-vector product per part: c_a = Tr[D_a H] (and Tr[D_a K])
@@ -236,22 +241,27 @@ def reconstruction_metrics(w_true, w_est) -> dict:
     """Frobenius error, trace distance (half the 1-norm of the difference) and
     fidelity of the trace-normalized Hermitian parts, negative eigenvalues
     clipped. For a non-PSD estimate the fidelity is ill-conditioned (a 1.4e-12
-    change in w_est moved it by 3.0e-9 at N=1 d=6), so compare by frobenius_error."""
+    change in w_est moved it by 3.0e-9 at N=1 d=6), so compare by frobenius_error.
+    Metrics that overflow or are not finite (a truth of zero trace) raise NotPSD."""
     a = w_true.op if hasattr(w_true, "op") else w_true
     b = w_est.op if hasattr(w_est, "op") else w_est
     a = canonicalize(a)
     b = canonicalize(b)
     if a.keys != b.keys:
         raise DimMismatch(f"label signatures differ: {a.keys} vs {b.keys}")
-    diff = a.mat - b.mat
-    frob = float(np.linalg.norm(diff))
-    tdist = float(0.5 * np.sum(np.linalg.svd(diff, compute_uv=False)))
-    rho = (a.mat + a.mat.conj().T) / 2
-    sig = (b.mat + b.mat.conj().T) / 2
-    rho = rho / np.trace(rho).real
-    sig = sig / np.trace(sig).real
-    sqrt_rho = sqrt_psd(rho, tol=1e-8)
-    inner = sqrt_rho @ sig @ sqrt_rho
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    fidelity = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            diff = a.mat - b.mat
+            frob = float(np.linalg.norm(diff))
+            tdist = float(0.5 * np.sum(np.linalg.svd(diff, compute_uv=False)))
+            rho = (a.mat + a.mat.conj().T) / 2
+            sig = (b.mat + b.mat.conj().T) / 2
+            rho = rho / np.trace(rho).real
+            sig = sig / np.trace(sig).real
+            sqrt_rho = sqrt_psd(rho, tol=1e-8)
+            inner = sqrt_rho @ sig @ sqrt_rho
+            vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+            fidelity = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NotPSD(f"metrics are not finite: {exc}") from exc
     return {"frobenius_error": frob, "trace_distance": tdist, "fidelity": fidelity}

@@ -352,6 +352,38 @@ def test_reconstruct_truth_number_outside_its_type_exits_2(tmp_path, capsys, cor
     assert f"error: bad {truth}: bad operator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", [
+    _edit_truth(lambda w: w.update(matrix=[[[0.0, 0.0]] * len(w["matrix"])] * len(w["matrix"]))),
+    _edit_truth(lambda w: w["matrix"][0][0].__setitem__(0, 1.7e308)),
+], ids=["all_zero", "entry_1.7e308"])
+def test_reconstruct_truth_with_metrics_not_finite_exits_2(tmp_path, capsys, corrupt):
+    # filterwarnings = error makes any RuntimeWarning on the way fail this test
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    truth = out / "w_true.json"
+    truth.write_text(corrupt(truth.read_text()))
+    assert run(["reconstruct", "--out", out]) == 2
+    assert f"error: bad {truth}: metrics are not finite" in capsys.readouterr().err
+
+
+def test_sizes_beyond_the_side_bound_exit_2_quickly(tmp_path, capsys):
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert run(["simulate", "--labs", 2, "--dim", 51, "--subsample", 3, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "d_sys^(2N+2) = 17596287801 exceeds 4096" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    header = {"type": "probe_family", "provenance": "WeylAncilla", "count": 24,
+              "recipe": {"n_labs": 2, "d": 51, "subsample_settings": 3}}
+    (out / "family.jsonl").write_text(json.dumps(header) + "\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["reconstruct", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "d^(2N) = 6765201 exceeds 4096 (line 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ["--subsample", -1], ["--subsample", 0], ["--subsample", 3, "--seed", -1],
 ], ids=["negative", "zero", "negative_seed"])

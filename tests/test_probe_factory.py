@@ -35,6 +35,7 @@ from proctomo.probe_factory import (
     QUBIT16_UNITARIES,
     THETA_GRID,
     AncillaProbeSetting,
+    ProbeFamily,
     ancilla_block,
     ancilla_superinstrument,
     block_unitary,
@@ -168,6 +169,14 @@ def test_unitary_only_span():
     fam = unitary_only_family()
     assert len(fam) == 10
     assert span_dimension(fam.chois()) == 10
+
+
+def test_settings_are_runs_of_consecutive_elements(qubit16):
+    elems = qubit16.elements
+    assert list(qubit16.settings()) == list(dict.fromkeys(e.setting_id for e in elems))
+    split = ProbeFamily((elems[10], elems[12], elems[11]), qubit16.provenance)  # X, Y, X
+    with pytest.raises(InvalidSetting, match="'MP:X'"):
+        split.settings()
 
 
 def test_qubit16_settings_are_testers(qubit16):
@@ -371,6 +380,14 @@ def test_single_lab_budget_checked_before_building():
     with pytest.raises(OutOfBudget):
         weyl_ancilla_family(1, 2, element_cap=31)
     assert len(weyl_ancilla_family(1, 2, element_cap=32)) == 32
+
+
+def test_probe_side_checked_before_building(monkeypatch):
+    monkeypatch.setattr(probe_factory, "ancilla_taus", lambda *args: pytest.fail("taus built"))
+    with pytest.raises(OutOfBudget, match=r"d\^\(2N\) = 6765201 exceeds 4096"):
+        weyl_ancilla_family(2, 51, subsample_settings=3, element_cap=24)
+    with pytest.raises(OutOfBudget, match=r"d\^\(2N\) = 16384 exceeds 4096"):
+        weyl_ancilla_family(7, 2, subsample_settings=1)
 
 
 def test_subsample_budget_checked_before_building(monkeypatch):

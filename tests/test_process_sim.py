@@ -290,6 +290,21 @@ def test_sample_shots_seeded_determinism(qubit16):
     assert [r.count for r in r1] != [r.count for r in r3]
 
 
+def test_sample_shots_draws_settings_in_family_order_from_one_stream(qubit16):
+    wi = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=2)))
+    p = np.array(born_probabilities(wi, qubit16))
+    rng = derive_rng(5, "shots")
+    runs = [(k, k + 1) for k in range(10)] + [(10, 12), (12, 14), (14, 16)]
+    expected = [c for a, b in runs for c in rng.multinomial(1000, p[a:b] / p[a:b].sum())]
+    assert [r.count for r in sample_shots(wi, qubit16, 1000, seed=5)] == expected
+
+
+def test_process_side_checked_before_building():
+    with pytest.raises(InvalidSpec, match=r"d_sys\^\(2N\+2\) = 16384 exceeds 4096"):
+        preset_process("IdentityWire", 6, 2)
+    assert preset_process("IdentityWire", 5, 2).n_labs == 5  # side 4096 is allowed
+
+
 def test_sample_shots_rejects_incomplete_setting(rng, qubit16):
     wi = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=2)))
     half = ProbeFamily(tuple(e for e in qubit16 if not (e.setting_id, e.outcome) == ("MP:X", "-")),

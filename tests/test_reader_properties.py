@@ -17,7 +17,8 @@ JSON = st.recursive(
 ODD_VALUES = st.sampled_from([True, False, None, -1, 0, 1, 51, 0.5, 1.0, 1 + 1e-7, 50.0,
                               float("nan"), float("inf"), "0", "MP:X", [], {}]) | JSON
 MUTATIONS = ["any", "drop", "value", "shorten", "entry", "duplicate", "old"]
-NUMBERS = st.sampled_from([10 ** 400, -10 ** 400, float("inf"), float("-inf"), float("nan")])
+NUMBERS = st.sampled_from([10 ** 400, -10 ** 400, 1.7e308, float("inf"), float("-inf"),
+                          float("nan")])
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +86,10 @@ def truth_run(tmp_path_factory):
 @st.composite
 def truth_texts(draw, valid):
     """Any JSON value, or one mutation of a valid w_true.json: a dropped key, an odd
-    value, a shortened matrix or row, an odd entry, or a huge or infinite number."""
+    value, a shortened matrix or row, an odd entry, an all-zero matrix, or a huge or
+    infinite number."""
     data = json.loads(json.dumps(valid))
-    kind = draw(st.sampled_from(["any", "drop", "value", "shorten", "entry", "number"]))
+    kind = draw(st.sampled_from(["any", "drop", "value", "shorten", "entry", "zero", "number"]))
     holder = draw(st.sampled_from([data, *data["labels"]]))  # the top level or one label
     key = draw(st.sampled_from(sorted(holder)))
     i, j = (draw(st.integers(0, len(data["matrix"]) - 1)) for _ in range(2))
@@ -101,6 +103,8 @@ def truth_texts(draw, valid):
         del (data["matrix"] if draw(st.booleans()) else data["matrix"][i])[j]
     elif kind == "entry":
         data["matrix"][i][j] = draw(ODD_VALUES)
+    elif kind == "zero":
+        data["matrix"] = [[[0.0, 0.0] for _ in row] for row in data["matrix"]]
     elif draw(st.booleans()):
         data["matrix"][i][j][draw(st.integers(0, 1))] = draw(NUMBERS)
     else:

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,17 @@ def test_tampered_recipe_family_reports_line(edit, line):
     with pytest.raises(ParseError) as err:
         serialize.family_from_jsonl(_tampered(edit))
     assert err.value.line == line
+
+
+def test_header_beyond_the_side_bound_reports_line_1_quickly():
+    # 24 = 3 settings x 4 phases x 2 outcomes passes the count cap; the taus would take 2.6 GB
+    header = {"type": "probe_family", "provenance": "WeylAncilla", "count": 24,
+              "recipe": {"n_labs": 2, "d": 51, "subsample_settings": 3}}
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds 4096") as err:
+        serialize.family_from_jsonl(json.dumps(header) + "\n")
+    assert err.value.line == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_records_roundtrip(qubit16):

@@ -24,7 +24,7 @@ from proctomo.process_sim import (
     preset_process,
     sample_shots,
 )
-from proctomo.tensor_core import LabeledOperator, canonicalize, rank_and_pinv
+from proctomo.tensor_core import LabeledOperator, SpaceLabel, canonicalize, rank_and_pinv
 from proctomo.tomography import (
     build_frame,
     dual_identity_check,
@@ -268,6 +268,13 @@ def test_metrics_label_mismatch(rng, qubit16):
     b = LabeledOperator((SpaceLabel(2, Role.INPUT, 2), SpaceLabel(2, Role.OUTPUT, 2)), a.mat)
     with pytest.raises(DimMismatch):
         reconstruction_metrics(a, b)
+
+
+def test_estimate_functional_rejects_observable_of_other_dims(qubit16_bundle):
+    # the frame's keys with qudit factors: no permutation can make the labels match
+    labels = tuple(SpaceLabel(l.lab, l.role, 3) for l in qubit16_bundle.labels)
+    with pytest.raises(DimMismatch):
+        estimate_functional(LabeledOperator(labels, np.eye(9)), qubit16_bundle, [])
 
 
 @pytest.mark.parametrize("chunk", [37, 5000])
