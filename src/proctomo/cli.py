@@ -19,6 +19,7 @@ import numpy as np
 
 from . import choi_link, op_basis, probe_factory, process_sim, serialize, tomography
 from .errors import ConfigError, MissingData, ParseError, ProctomoError, UnexpectedRecord
+from .tensor_core import INT64_MAX
 
 
 @dataclass
@@ -31,7 +32,6 @@ class RunConfig:
     seed: int = 0
     shots: int = 0
     family: str = "auto"
-    family_cap: int = 20000
     subsample: int | None = None
     prep: str = "zero"
     project_psd: bool = False
@@ -47,8 +47,8 @@ class RunConfig:
             raise ConfigError(f"dim must be >= 2 (got {self.dim})")
         if self.labs < 1:
             raise ConfigError(f"labs must be >= 1 (got {self.labs})")
-        if self.shots < 0:
-            raise ConfigError(f"shots must be >= 0 (got {self.shots})")
+        if not 0 <= self.shots <= INT64_MAX:
+            raise ConfigError(f"shots must lie in 0..2^63 - 1 (got {self.shots})")
         if self.preset not in process_sim.PRESET_NAMES:
             raise ConfigError(f"preset must be one of {process_sim.PRESET_NAMES} "
                               f"(got {self.preset!r})")
@@ -76,7 +76,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: also an int beyond 4300 digits
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -106,10 +106,8 @@ def _build_family(cfg: RunConfig) -> probe_factory.ProbeFamily:
         if cfg.dim != 2 or cfg.labs != 1:
             raise ConfigError("family unitary_only requires dim=2 and labs=1")
         return probe_factory.unitary_only_family()
-    return probe_factory.weyl_ancilla_family(cfg.labs, cfg.dim,
-                                         element_cap=cfg.family_cap,
-                                         subsample_settings=cfg.subsample,
-                                         seed=cfg.seed)
+    return probe_factory.weyl_ancilla_family(cfg.labs, cfg.dim, subsample_settings=cfg.subsample,
+                                             seed=cfg.seed)
 
 
 def cmd_span(cfg: RunConfig) -> int:
@@ -125,10 +123,10 @@ def cmd_span(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = process_sim.preset_process(cfg.preset, cfg.labs, cfg.dim,
                                       seed=cfg.seed, p=cfg.p, d_env=cfg.d_env)
+    family = _build_family(cfg)  # its frame guard runs before W is built
     w_full = process_sim.build_process(spec)
     prep = np.eye(cfg.dim, dtype=np.complex128) / cfg.dim if cfg.prep == "maximally_mixed" else None
     w_int = process_sim.interior_only(w_full, prep)  # None prepares |0><0|
-    family = _build_family(cfg)
     records = process_sim.sample_shots(w_int, family, cfg.shots, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     serialize.save_family(family, os.path.join(cfg.out, "family.jsonl"))
@@ -174,7 +172,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             try:  # a truth whose labels are not the frame's does not fit this run either
                 w_true = serialize.operator_from_json(json.load(fh))
                 report.metrics = tomography.reconstruction_metrics(w_true, report.w_est)
-            except (json.JSONDecodeError, ProctomoError) as exc:
+            except (ValueError, ProctomoError) as exc:
                 raise ParseError(f"bad {truth_path}: {exc}") from exc
     payload = report.as_dict()
     payload["w_est"] = serialize.operator_to_json(report.w_est)

@@ -39,10 +39,11 @@ from .op_basis import (
 )
 from .tensor_core import (
     DEFAULT_TOL,
-    MAX_SIDE,
+    MAX_FRAME_BYTES,
     LabeledOperator,
     Role,
     SpaceLabel,
+    checked_power,
     permute_systems,
     sqrt_psd,
 )
@@ -470,8 +471,24 @@ def _decode_setting(index: int, n_labs: int, d: int) -> list[tuple[int, int]]:
     return list(reversed(pairs))
 
 
-def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
-                        subsample_settings: int | None = None,
+def _check_frame(n_labs: int, d: int, dim: int | None, n_chosen: int | None) -> None:
+    """OutOfBudget unless the float64 bytes of the dense frame, 8 D (M + 3D) for D = dim and
+    M = n_chosen x 2 x 4^(N-1) elements, are at most MAX_FRAME_BYTES. dim is None above
+    INT64_MAX. A D whose 24 D^2 exceeds the bound fails at any M, which keeps every number
+    formed here within int64."""
+    if dim is None or dim > MAX_FRAME_BYTES // 24 // dim:
+        shown = ">= 2^63" if dim is None else f"= {dim}"
+        raise OutOfBudget(f"dense frame of N={n_labs} labs at d={d}: D = d^(4N) {shown}, so "
+                          f"8 D (M + 3D) exceeds {MAX_FRAME_BYTES} bytes at any element count M")
+    elements = n_chosen * 2 * 4 ** (n_labs - 1)
+    need = 8 * dim * (elements + 3 * dim)
+    if need > MAX_FRAME_BYTES:
+        raise OutOfBudget(f"dense frame of N={n_labs} labs at d={d}: D = d^(4N) = {dim} and "
+                          f"M = {elements} elements need 8 D (M + 3D) = {need} bytes, above "
+                          f"{MAX_FRAME_BYTES}; subsample fewer settings")
+
+
+def weyl_ancilla_family(n_labs: int, d: int = 2, subsample_settings: int | None = None,
                         seed: int = 0) -> ProbeFamily:
     """Weyl-block qubit-ancilla family: one (mu, nu) pair per lab, the full
     four-point phase grid on every link, and both ancilla outcomes.
@@ -480,24 +497,19 @@ def weyl_ancilla_family(n_labs: int, d: int = 2, element_cap: int = 20000,
     d^2 directions; there setting s = effect * d^2 + prep runs the
     measure-and-prepare circuit over the state-tomography grid, keeping the
     d^4 settings x 2 outcomes layout. Settings may be subsampled
-    deterministically; with or without a subsample, exceeding element_cap, or a
-    probe side d^(2N) above MAX_SIDE, raises OutOfBudget before any element is built.
+    deterministically. Before anything is drawn or built, a family whose dense
+    frame would not fit MAX_FRAME_BYTES raises OutOfBudget (_check_frame).
     """
     if n_labs < 1 or d < 2:
         raise InvalidSetting("need n_labs >= 1 and d >= 2")
-    if d ** (2 * n_labs) > MAX_SIDE:
-        raise OutOfBudget(f"probe side d^(2N) = {d ** (2 * n_labs)} exceeds {MAX_SIDE}")
-    recipe = {"n_labs": n_labs, "d": d, "element_cap": element_cap,
-              "subsample_settings": subsample_settings, "seed": seed}
-    n_settings = (d * d) ** (2 * n_labs)
+    recipe = {"n_labs": n_labs, "d": d, "subsample_settings": subsample_settings, "seed": seed}
+    n_settings = checked_power(d, 4 * n_labs)  # (d^2)^(2N) = D; None above INT64_MAX
     n_chosen = n_settings if subsample_settings is None else subsample_settings
-    if not 1 <= n_chosen <= n_settings:
+    if n_settings is not None and not 1 <= n_chosen <= n_settings:
         raise InvalidSetting(f"subsample of {n_chosen} settings is outside 1..{n_settings}")
     if subsample_settings is not None and seed < 0:
         raise InvalidSetting(f"subsample seed must be >= 0 (got {seed})")
-    if n_chosen * 2 * 4 ** (n_labs - 1) > element_cap:
-        raise OutOfBudget(f"family would hold {n_chosen * 2 * 4 ** (n_labs - 1)} elements "
-                          f"(cap {element_cap}); subsample fewer settings")
+    _check_frame(n_labs, d, n_settings, n_chosen)
     chosen = range(n_settings)
     if subsample_settings is not None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, n_labs, d, 0x7E2]))

@@ -32,6 +32,7 @@ from .tensor_core import (
     Role,
     SpaceLabel,
     canonicalize,
+    checked_power,
     partial_trace,
 )
 
@@ -67,6 +68,17 @@ def _is_state(m: np.ndarray, d: int) -> bool:
     return m.shape == (d, d) and abs(np.trace(m) - 1.0) <= SPEC_TOL and _is_psd(m)
 
 
+def _check_side(n_labs: int, d_sys: int) -> None:
+    """InvalidSpec unless n_labs >= 1, d_sys >= 2 and the full W, boundary wires included,
+    has side d_sys^(2N+2) <= MAX_SIDE."""
+    if n_labs < 1 or d_sys < 2:
+        raise InvalidSpec("need n_labs >= 1 and d_sys >= 2")
+    side = checked_power(d_sys, 2 * n_labs + 2)
+    if side is None or side > MAX_SIDE:
+        shown = ">= 2^63" if side is None else f"= {side}"
+        raise InvalidSpec(f"process side d_sys^(2N+2) {shown} exceeds {MAX_SIDE}")
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     n_labs: int
@@ -79,11 +91,9 @@ class ProcessSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_labs < 1 or self.d_sys < 2 or self.d_env < 1:
-            raise InvalidSpec("need n_labs >= 1, d_sys >= 2, d_env >= 1")
-        side = self.d_sys ** (2 * self.n_labs + 2)  # the full W, boundary wires included
-        if side > MAX_SIDE:
-            raise InvalidSpec(f"process side d_sys^(2N+2) = {side} exceeds {MAX_SIDE}")
+        _check_side(self.n_labs, self.d_sys)
+        if self.d_env < 1:
+            raise InvalidSpec("need d_env >= 1")
         if (self.unitaries is None) == (self.channels is None):
             raise InvalidSpec("exactly one of unitaries/channels must be given")
         n_steps = self.n_labs + 1
@@ -127,7 +137,8 @@ def _depolarizing_choi(d: int, p: float) -> np.ndarray:
 def preset_process(name: str, n_labs: int, d_sys: int, seed: int = 0,
                    p: float = 0.5, d_env: int = 2) -> ProcessSpec:
     """Deterministic fixture specs; identical (name, args, seed) give an
-    identical spec."""
+    identical spec. The sizes are checked before anything is drawn."""
+    _check_side(n_labs, d_sys)
     steps = n_labs + 1
     if name == "IdentityWire":
         return ProcessSpec(n_labs, d_sys, d_env=1,

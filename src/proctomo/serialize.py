@@ -5,17 +5,15 @@ a labels header of {lab, role, dim} records. Floats go through repr, so a
 parse -> serialize round trip is bit-identical.
 
 A probe family is stored as one header line: its provenance, element count and
-generator's recipe. Reading regenerates the family, capped at that count. A
-hand-built family has no recipe and cannot be stored. Experiment records are
-one object of parallel lists in record order, with shots once.
+generator's recipe. Reading regenerates the family and checks it against that
+count. A hand-built family has no recipe and cannot be stored. Experiment
+records are one object of parallel lists in record order, with shots once.
 """
 
 import collections
 import csv
-import inspect
 import io
 import json
-from dataclasses import replace
 
 import numpy as np
 
@@ -71,7 +69,7 @@ def family_to_jsonl(family: ProbeFamily) -> str:
 
 def family_from_jsonl(text: str) -> ProbeFamily:
     """Inverse of family_to_jsonl: the family is rebuilt by the generator of its
-    recipe, capped at the header's count before anything is built."""
+    recipe, whose own size checks run before anything is built."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty probe family file", line=1)
@@ -91,12 +89,8 @@ def family_from_jsonl(text: str) -> ProbeFamily:
     if generator is None or not isinstance(recipe, dict) or not all(
             v is None or type(v) is int for v in recipe.values()):
         raise ParseError(f"bad recipe {recipe!r} for provenance {provenance.value}", line=1)
-    # cap the generator at the count, so an oversized recipe builds nothing
-    bounded = ("element_cap" in inspect.signature(generator).parameters
-               and (recipe.get("element_cap") is None or recipe["element_cap"] > count))
-    kwargs = {**recipe, "element_cap": count} if bounded else recipe
     try:
-        family = replace(generator(**kwargs), recipe=recipe)
+        family = generator(**recipe)
     except (TypeError, ValueError, ProctomoError) as exc:
         raise ParseError(f"bad recipe {recipe!r}: {exc}", line=1) from exc
     if len(family) != count:
@@ -137,7 +131,7 @@ def records_from_json(text: str) -> list[ExperimentRecord]:
     setting; exact probabilities lie in [0, 1] and sum to 1."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int beyond 4300 digits
         raise ParseError(f"bad records file: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("records file must hold a JSON object")

@@ -15,7 +15,22 @@ import numpy as np
 from .errors import DuplicateLabel, NotAPermutation, NotPSD, UnknownLabel
 
 DEFAULT_TOL = 1e-10
-MAX_SIDE = 4096  # largest operator side the pipeline builds: a probe Choi or a full W
+MAX_SIDE = 4096  # largest side of a full boundary-wire W, the largest operator built
+# float64 bytes of a dense frame of dimension D over M probes: G, its eigenvectors and their
+# kept copy (three D x D) plus the M x D coordinates, 8 D (M + 3D); it also bounds a probe side
+MAX_FRAME_BYTES = 2 ** 31
+INT64_MAX = 2 ** 63 - 1
+
+
+def checked_power(base: int, exp: int) -> int | None:
+    """base ** exp for base >= 2, or None when it exceeds INT64_MAX. No larger integer is
+    formed, so an exponent of any size stops within 63 multiplications."""
+    value = 1
+    for _ in range(exp):
+        if value > INT64_MAX // base:
+            return None
+        value *= base
+    return value
 
 
 class Role(enum.Enum):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from proctomo import probe_factory
+from proctomo import probe_factory, process_sim
 from proctomo.cli import CHECKS, load_config, main, run_check
 from proctomo.errors import ConfigError
 
@@ -381,7 +381,82 @@ def test_sizes_beyond_the_side_bound_exit_2_quickly(tmp_path, capsys):
     start = time.perf_counter()
     assert run(["reconstruct", "--out", out]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "d^(2N) = 6765201 exceeds 4096 (line 1)" in capsys.readouterr().err
+    assert "D = d^(4N) = 45767944570401, so 8 D (M + 3D) exceeds 2147483648 bytes at any " \
+           "element count M (line 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labs, dim, frame_dim", [(4, 2, 65536), (2, 4, 65536), (5, 2, 1048576)])
+def test_simulate_beyond_the_frame_guard_exits_2_before_w_is_built(tmp_path, capsys, monkeypatch,
+                                                                   labs, dim, frame_dim):
+    monkeypatch.setattr(process_sim, "build_process", lambda spec: pytest.fail("W built"))
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert run(["simulate", "--labs", labs, "--dim", dim, "--subsample", 1, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"D = d^(4N) = {frame_dim}, so 8 D (M + 3D) exceeds 2147483648 bytes" \
+           in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_header_beyond_the_frame_guard_exits_2_quickly(tmp_path, capsys):
+    # the full N=4 d=2 grid: a 32 GiB frame, and 1 GiB of lab unitaries before any frame
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--out", out]) == 0
+    header = {"type": "probe_family", "provenance": "WeylAncilla", "count": 8388608,
+              "recipe": {"n_labs": 4, "d": 2}}
+    (out / "family.jsonl").write_text(json.dumps(header) + "\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["reconstruct", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "D = d^(4N) = 65536, so 8 D (M + 3D) exceeds 2147483648 bytes" in err
+    assert "(line 1)" in err
+
+
+@pytest.mark.parametrize("labs", [20000, 200000, 1000000])
+@pytest.mark.parametrize("command", ["simulate", "export-circuits"])
+def test_sizes_beyond_int64_exit_2_quickly(tmp_path, capsys, monkeypatch, command, labs):
+    monkeypatch.setattr(process_sim, "haar_unitary", lambda *args: pytest.fail("unitary drawn"))
+    start = time.perf_counter()
+    assert run([command, "--labs", labs, "--out", tmp_path / "run"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert ">= 2^63" in err and len(err) < 300
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("shots, code", [(2 ** 63, 2), (10 ** 20, 2), (2 ** 63 - 1, 0)])
+def test_shots_beyond_int64_exit_2(tmp_path, capsys, shots, code):
+    assert run(["simulate", "--labs", 1, "--shots", shots, "--out", tmp_path / "run"]) == code
+    if code == 2:
+        assert f"shots must lie in 0..2^63 - 1 (got {shots})" in capsys.readouterr().err
+
+
+def test_config_family_cap_is_unknown(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family_cap": 20000}))
+    assert run(["simulate", "--config", path, "--out", tmp_path / "run"]) == 2
+    assert "unknown config field 'family_cap'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, old", [
+    ("cfg.json", None), ("records.json", '"shots": 0'), ("w_true.json", '"dim": 2'),
+    ("family.jsonl", '"seed": 0')], ids=["config", "records", "truth", "family"])
+def test_int_beyond_the_digit_limit_exits_2(tmp_path, capsys, name, old):
+    # json reads an int of more than 4300 digits as a ValueError, not a JSONDecodeError
+    huge = "9" * 5000
+    out = tmp_path / "run"
+    assert run(["simulate", "--labs", 1, "--family", "weyl_ancilla", "--out", out]) == 0
+    if old is None:
+        (tmp_path / name).write_text(f'{{"shots": {huge}}}')
+        assert run(["simulate", "--config", tmp_path / name, "--out", out]) == 2
+    else:
+        path = out / name
+        path.write_text(path.read_text().replace(old, old.split(":")[0] + ": " + huge, 1))
+        capsys.readouterr()
+        assert run(["reconstruct", "--out", out]) == 2
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

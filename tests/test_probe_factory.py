@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from proctomo import probe_factory
+from proctomo import op_basis, probe_factory
 from proctomo.choi_link import (
     CombDirection,
     choi_of_kraus,
@@ -374,27 +374,49 @@ def test_weyl_ancilla_family_budget_and_subsample():
     assert ids_a != ids_c
 
 
-def test_single_lab_budget_checked_before_building():
-    with pytest.raises(OutOfBudget):
-        weyl_ancilla_family(1, 5, element_cap=10)
-    with pytest.raises(OutOfBudget):
-        weyl_ancilla_family(1, 2, element_cap=31)
-    assert len(weyl_ancilla_family(1, 2, element_cap=32)) == 32
+def test_single_lab_budget_checked_before_building(monkeypatch):
+    assert len(weyl_ancilla_family(1, 9, subsample_settings=1)) == 2  # D = 6561
+    monkeypatch.setattr(op_basis, "tomography_state_vectors",
+                        lambda *args: pytest.fail("states built"))
+    with pytest.raises(OutOfBudget, match=r"D = d\^\(4N\) = 10000, .* 2147483648 bytes"):
+        weyl_ancilla_family(1, 10, subsample_settings=1)
 
 
 def test_probe_side_checked_before_building(monkeypatch):
     monkeypatch.setattr(probe_factory, "ancilla_taus", lambda *args: pytest.fail("taus built"))
-    with pytest.raises(OutOfBudget, match=r"d\^\(2N\) = 6765201 exceeds 4096"):
-        weyl_ancilla_family(2, 51, subsample_settings=3, element_cap=24)
-    with pytest.raises(OutOfBudget, match=r"d\^\(2N\) = 16384 exceeds 4096"):
+    with pytest.raises(OutOfBudget, match=r"D = d\^\(4N\) = 45767944570401, "):
+        weyl_ancilla_family(2, 51, subsample_settings=3)
+    with pytest.raises(OutOfBudget, match=r"D = d\^\(4N\) = 268435456, "):
         weyl_ancilla_family(7, 2, subsample_settings=1)
 
 
+class GuardPassed(Exception):
+    """Raised by a builder patched to fail, so a call that reaches it passed the frame guard."""
+
+
+def _guard_passed(*args):
+    raise GuardPassed
+
+
 def test_subsample_budget_checked_before_building(monkeypatch):
-    assert len(weyl_ancilla_family(3, 2, subsample_settings=1, element_cap=32)) == 32
-    monkeypatch.setattr(probe_factory, "block_unitary", lambda *args: pytest.fail("unitary built"))
-    with pytest.raises(OutOfBudget):
-        weyl_ancilla_family(3, 2, subsample_settings=1, element_cap=31)
+    monkeypatch.setattr(probe_factory, "block_unitary", _guard_passed)
+    with pytest.raises(OutOfBudget, match=r"D = d\^\(4N\) = 4096 and M = 53280 elements "
+                                          r"need 8 D \(M \+ 3D\) = 2148532224 bytes"):
+        weyl_ancilla_family(3, 2, subsample_settings=1665)
+    with pytest.raises(GuardPassed):  # M = 53248 needs exactly 2^31 bytes
+        weyl_ancilla_family(3, 2, subsample_settings=1664)
+
+
+@pytest.mark.parametrize("n_labs, d, settings", [
+    (2, 3, 2500), (3, 2, 625), (2, 2, None), *((1, d, None) for d in range(2, 10))])
+def test_frame_guard_admits_every_family_the_element_cap_admitted(monkeypatch, n_labs, d,
+                                                                  settings):
+    # the largest family of at most 20 000 elements at each D <= 6561; N=2 d=3 with 2500
+    # settings holds 20 000 elements and needs 2.08 GB of frame
+    monkeypatch.setattr(probe_factory, "block_unitary", _guard_passed)
+    monkeypatch.setattr(op_basis, "tomography_state_vectors", _guard_passed)
+    with pytest.raises(GuardPassed):
+        weyl_ancilla_family(n_labs, d, subsample_settings=settings)
 
 
 def test_weyl_family_builds_one_circuit_per_setting(monkeypatch):

@@ -305,6 +305,13 @@ def test_process_side_checked_before_building():
     assert preset_process("IdentityWire", 5, 2).n_labs == 5  # side 4096 is allowed
 
 
+def test_preset_sizes_checked_before_drawing(monkeypatch):
+    monkeypatch.setattr(process_sim, "haar_unitary", lambda *args: pytest.fail("unitary drawn"))
+    for n_labs, shown in ((200000, r">= 2\^63"), (6, "= 16384")):
+        with pytest.raises(InvalidSpec, match=rf"d_sys\^\(2N\+2\) {shown} exceeds 4096"):
+            preset_process("HaarEnv", n_labs, 2)
+
+
 def test_sample_shots_rejects_incomplete_setting(rng, qubit16):
     wi = interior_only(build_process(preset_process("HaarEnv", 1, 2, seed=2)))
     half = ProbeFamily(tuple(e for e in qubit16 if not (e.setting_id, e.outcome) == ("MP:X", "-")),

@@ -1,5 +1,6 @@
 """Property tests of the readers behind `reconstruct`: whatever a persisted file
-holds, the command exits 0, 1 or 2, and exit 2 names the file."""
+holds, the command exits 0, 1 or 2, and exit 2 names the file; a family header
+gives exactly its count of elements or a ParseError at line 1 or 2."""
 import contextlib
 import io
 import json
@@ -7,7 +8,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proctomo import serialize
 from proctomo.cli import main
+from proctomo.errors import ParseError
+from proctomo.probe_factory import qubit16_family, weyl_ancilla_family
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -124,3 +128,53 @@ def test_reconstruct_any_truth_file_exits_0_1_or_2(truth_run, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert "w_true.json" in err.getvalue()
+
+
+HEADER_FAMILIES = [weyl_ancilla_family(2, 2, subsample_settings=4, seed=1),
+                   weyl_ancilla_family(2, 2), weyl_ancilla_family(1, 3), qubit16_family()]
+SIZES = st.integers(-2, 10 ** 9) | st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 400, -10 ** 400])
+RECIPE_KEYS = st.sampled_from(["n_labs", "d", "subsample_settings", "seed", "lab",
+                               "element_cap"]) | st.text(max_size=4)
+
+
+@st.composite
+def family_headers(draw):
+    """(text, count) of any JSON value, or of one mutation of a valid family header: a count
+    off by one or huge, a recipe size from -2 to 10^9 or beyond int64 (so recipes beyond
+    their count and beyond the frame guard), a dropped or added key (element_cap among
+    them), an odd value, or a second line."""
+    header = json.loads(serialize.family_to_jsonl(draw(st.sampled_from(HEADER_FAMILIES))))
+    recipe = header["recipe"]
+    kind = draw(st.sampled_from(["any", "count", "size", "drop", "add", "value", "line"]))
+    lines = []
+    if kind == "any":
+        header = draw(JSON)
+    elif kind == "count":
+        header["count"] += draw(st.sampled_from([-1, 1])) if draw(st.booleans()) else \
+            draw(SIZES) - header["count"]
+    elif kind == "size":
+        recipe[draw(st.sampled_from(sorted(recipe)))] = draw(SIZES)
+    elif kind == "drop":
+        holder = draw(st.sampled_from([header, recipe]))
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    elif kind == "add":
+        recipe[draw(RECIPE_KEYS)] = draw(SIZES | ODD_VALUES)
+    elif kind == "value":
+        holder = draw(st.sampled_from([header, recipe]))
+        holder[draw(st.sampled_from(sorted(holder)))] = draw(ODD_VALUES)
+    else:
+        lines.append(draw(JSON))
+    text = "".join(json.dumps(x) + "\n" for x in [header, *lines])
+    return text, header.get("count") if isinstance(header, dict) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=family_headers())
+def test_family_reader_returns_count_elements_or_a_parse_error(drawn):
+    text, count = drawn
+    try:
+        family = serialize.family_from_jsonl(text)
+    except ParseError as exc:
+        assert exc.line in (1, 2)
+    else:
+        assert len(family) == count

@@ -134,12 +134,12 @@ def _edit_line(index, change):
                                       recipe={"d": 2, "lab": 1, "element_cap": 20000})), 1),
     (_edit_line(0, lambda h: h["recipe"].update(subsample_settings=4)), 1),
     (lambda lines: lines.append(lines[-1]), 2),  # any second line
-    (_edit_line(0, lambda h: h.update(count=23)), 1),  # the cap stops the generator
+    (_edit_line(0, lambda h: h.update(count=23)), 1),
     (_edit_line(0, lambda h: h.update(count=25)), 1),
     (_edit_line(0, lambda h: h.update(count=True)), 1),
     (_edit_line(0, lambda h: h.update(count=-1)), 1),
     (_edit_line(0, lambda h: h.pop("count")), 1),
-    # recipes far beyond their count, which the cap rejects before building anything
+    # recipes far beyond their count: the frame guard, or the unknown element_cap key
     (_edit_line(0, lambda h: h.update(count=1, recipe={"n_labs": 1, "d": 40})), 1),
     (_edit_line(0, lambda h: h.update(count=1, recipe={"n_labs": 1, "d": 7,
                                                        "element_cap": 10 ** 9})), 1),
@@ -151,14 +151,39 @@ def test_tampered_recipe_family_reports_line(edit, line):
 
 
 def test_header_beyond_the_side_bound_reports_line_1_quickly():
-    # 24 = 3 settings x 4 phases x 2 outcomes passes the count cap; the taus would take 2.6 GB
+    # 24 = 3 settings x 4 phases x 2 outcomes; the taus would take 2.6 GB, the frame far more
     header = {"type": "probe_family", "provenance": "WeylAncilla", "count": 24,
               "recipe": {"n_labs": 2, "d": 51, "subsample_settings": 3}}
     start = time.perf_counter()
-    with pytest.raises(ParseError, match="exceeds 4096") as err:
+    with pytest.raises(ParseError, match=r"D = d\^\(4N\) = 45767944570401, .* 2147483648 bytes") \
+            as err:
         serialize.family_from_jsonl(json.dumps(header) + "\n")
     assert err.value.line == 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_header_beyond_int64_reports_line_1_quickly():
+    for recipe in ({"n_labs": 10 ** 9, "d": 2}, {"n_labs": 1, "d": 10 ** 9},
+                   {"n_labs": 10 ** 8, "d": 2, "subsample_settings": 1}):
+        header = {"type": "probe_family", "provenance": "WeylAncilla", "count": 2,
+                  "recipe": recipe}
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"D = d\^\(4N\) >= 2\^63") as err:
+            serialize.family_from_jsonl(json.dumps(header) + "\n")
+        assert err.value.line == 1
+        assert time.perf_counter() - start < 1.0
+
+
+def test_weyl_recipe_keys_and_the_removed_element_cap():
+    family = weyl_ancilla_family(2, 2, subsample_settings=3, seed=1)
+    assert list(family.recipe) == ["n_labs", "d", "subsample_settings", "seed"]
+    # a header as written while the generator took an element cap
+    header = json.loads(serialize.family_to_jsonl(family))
+    header["recipe"] = {"n_labs": 2, "d": 2, "element_cap": 20000, "subsample_settings": 3,
+                        "seed": 1}
+    with pytest.raises(ParseError, match="element_cap") as err:
+        serialize.family_from_jsonl(json.dumps(header) + "\n")
+    assert err.value.line == 1
 
 
 def test_records_roundtrip(qubit16):
